@@ -80,8 +80,6 @@ def resolve_option(name: str, flag_value, file_values: dict[str, str]):
     if name in file_values:
         raw = file_values[name]
         try:
-            if isinstance(default, bool):
-                return raw.lower() in ("1", "true", "yes")
             return type(default)(raw)
         except ValueError as err:
             raise ConfigError(f"config key {name}: {err}") from err
@@ -117,7 +115,6 @@ class _Options:
             lr_drop_factor=self.lr_drop_factor,
             plateau_patience=self.plateau_patience,
             max_epochs=self.max_epochs,
-            dropout_p=self.dropout_p,
             lambda_center=self.lambda_center,
             alpha_center=self.alpha_center,
             loss_epsilon=self.loss_epsilon,
@@ -180,7 +177,11 @@ def load_pixel_stats(path: Path) -> preprocess.PixelStats:
     head_end = data.index(b"end\n") + 4
     shape_line = data[len(STATS_MAGIC) : head_end].decode("ascii").splitlines()[0]
     h, w = (int(v) for v in shape_line.split()[1].split(","))
-    floats = np.frombuffer(data[head_end:], dtype="<f4").astype(np.float64)
+    payload = data[head_end:]
+    if len(payload) != 4 * (2 * h * w + 1):
+        raise ValueError(f"{path}: {len(payload)} payload bytes, shape {h}x{w} needs "
+                         f"{4 * (2 * h * w + 1)}")
+    floats = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     mean = floats[: h * w].reshape(h, w)
     std = floats[h * w : 2 * h * w].reshape(h, w)
     return preprocess.PixelStats(mean, std, float(floats[2 * h * w]))
@@ -302,30 +303,14 @@ def cmd_features(args) -> int:
     manifest = _read_manifest_file(manifest_path)
     out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = features.FeatureConfig()
 
     samples = _load_samples(manifest_path, manifest)
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.workers)) as pool:
-        descriptors = list(
-            pool.map(
-                lambda s: features.handcrafted_descriptor(features.crop_regions(s.image), cfg),
-                samples,
-            )
-        )
+        descriptors = list(pool.map(lambda s: features.image_descriptor(s.image), samples))
     labels = [manifest.class_names[s.label] for s in samples]
     features.write_descriptor_csv(out / "descriptors.csv", descriptors, labels)
     print(f"wrote {len(descriptors)} descriptors -> {out / 'descriptors.csv'}")
     return EXIT_OK
-
-
-def _descriptor_dataset(samples: list[LabeledSample]) -> np.ndarray:
-    cfg = features.FeatureConfig()
-    return np.stack(
-        [
-            features.handcrafted_descriptor(features.crop_regions(s.image), cfg).values
-            for s in samples
-        ]
-    )
 
 
 def cmd_train(args) -> int:
@@ -343,25 +328,23 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg = opts.train_config()
 
-    stats = None
-    if args.stats:
-        stats = load_pixel_stats(Path(args.stats))
+    # Checked even for the descriptor MLP, which pixel statistics do not touch.
+    stats = load_pixel_stats(Path(args.stats)) if args.stats else None
 
     classes = len(manifest.class_names)
     every = args.checkpoint_every or 0
     if opts.profile == "cnn-fusion":
-        arch = network.FusionArch(classes=classes, dropout_p=cfg.dropout_p)
-        model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
-        model.pixel_stats = stats
-        rows = None
+        arch = network.FusionArch(classes=classes, dropout_p=opts.dropout_p)
     else:
-        rows = _descriptor_dataset(samples)
+        # The rows training.model_input gives a descriptor model; the arch
+        # needs their width before the model exists.
+        rows = np.stack([features.image_descriptor(s.image).values for s in samples])
         arch = network.MlpArch(classes=classes, input_dim=rows.shape[1],
-                               dropout_p=cfg.dropout_p)
-        model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
-        model.pixel_stats = stats
+                               dropout_p=opts.dropout_p)
+    model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
     try:
-        if rows is None:
+        if arch.kind == "fusion":
+            model.pixel_stats = stats
             model, log = training.train(model, samples, cfg,
                                         checkpoint_every=every, checkpoint_dir=out)
         else:
@@ -381,16 +364,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _predict_labels(model, samples, mode, gallery_samples=None):
+def _predict(model, images, mode, gallery_manifest) -> list[tuple[int, float]]:
+    """(label, score) per image: the label's softmax probability in multicrop
+    mode, the distance to the nearest gallery entry in nearest-feature mode."""
     if mode == "multicrop":
-        return [evaluation.single_predict(model, s.image)[0] for s in samples]
+        predictions = [evaluation.single_predict(model, img) for img in images]
+        return [(label, float(probs[label])) for label, probs in predictions]
     if mode == "nearest-feature":
-        if not gallery_samples:
+        if not gallery_manifest:
             raise ConfigError("nearest-feature mode needs --gallery-manifest")
-        gallery = [
-            (evaluation.extract_features(model, g.image), g.label) for g in gallery_samples
-        ]
-        return [evaluation.nearest_feature_predict(model, s.image, gallery)[0] for s in samples]
+        gpath = Path(gallery_manifest)
+        gallery = [(evaluation.extract_features(model, g.image), g.label)
+                   for g in _load_samples(gpath, _read_manifest_file(gpath))]
+        return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
     raise ConfigError(f"unknown inference mode {mode!r}")
 
 
@@ -423,15 +409,10 @@ def cmd_eval(args) -> int:
                 f"checkpoint classes {model.class_names} != manifest classes {manifest.class_names}"
             )
         samples = _load_samples(manifest_path, manifest)
-        gallery_samples = None
-        if args.gallery_manifest:
-            gpath = Path(args.gallery_manifest)
-            gallery_samples = _load_samples(gpath, _read_manifest_file(gpath))
         true = np.array([s.label for s in samples], dtype=np.int64)
-        pred = np.array(
-            _predict_labels(model, samples, opts.inference_mode, gallery_samples),
-            dtype=np.int64,
-        )
+        predictions = _predict(model, [s.image for s in samples], opts.inference_mode,
+                               args.gallery_manifest)
+        pred = np.array([label for label, _ in predictions], dtype=np.int64)
         inference_mode = opts.inference_mode
 
     protocol = {
@@ -453,21 +434,10 @@ def cmd_predict(args) -> int:
     model = network.load_checkpoint(Path(args.checkpoint))
     img = dataset.decode_pgm(Path(args.image).read_bytes())
     if (img.height, img.width) != (48, 48):
-        img = GrayImage(preprocess.bilinear_resize(img.pixels, 48, 48))
-
-    if opts.inference_mode == "nearest-feature":
-        if not args.gallery_manifest:
-            raise ConfigError("nearest-feature mode needs --gallery-manifest")
-        gpath = Path(args.gallery_manifest)
-        gallery_samples = _load_samples(gpath, _read_manifest_file(gpath))
-        gallery = [
-            (evaluation.extract_features(model, g.image), g.label) for g in gallery_samples
-        ]
-        label, dist = evaluation.nearest_feature_predict(model, img, gallery)
-        print(f"{model.class_names[label]} {dist:.6f}")
-    else:
-        label, probs = evaluation.single_predict(model, img)
-        print(f"{model.class_names[label]} {probs[label]:.6f}")
+        raise ConfigError(f"{args.image} is {img.width}x{img.height}, predict takes a 48x48 "
+                          "image: run `microexpr preprocess` first")
+    [(label, score)] = _predict(model, [img], opts.inference_mode, args.gallery_manifest)
+    print(f"{model.class_names[label]} {score:.6f}")
     return EXIT_OK
 
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GrayImage, Manifest, ManifestError
-from .features import FeatureConfig, crop_regions, handcrafted_descriptor
 from .network import ModelState, forward, model_dtype, softmax
-from .training import prepare_image
+from .training import model_input
 
 MULTICROP_SOURCE = 48
 MULTICROP_WINDOW = 42
@@ -138,10 +137,6 @@ def mae(true, pred) -> float:
 # Inference
 
 
-def _prepared_pixels(model: ModelState, img: GrayImage) -> np.ndarray:
-    return prepare_image(img, model).pixels
-
-
 def multicrop_batch(px: np.ndarray) -> np.ndarray:
     """The ten 42x42 test views of a 48x48 image: four corners plus center,
     then the same five mirrored; shape (10, 42, 42)."""
@@ -160,25 +155,18 @@ def multicrop_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarra
     class index.  Defined for the fusion architecture."""
     if model.arch.kind != "fusion":
         raise ValueError("multicrop prediction requires the fusion architecture")
-    views = multicrop_batch(_prepared_pixels(model, img)).astype(model_dtype(model))
+    views = multicrop_batch(model_input(model, img)).astype(model_dtype(model))
     logits, _, _ = forward(model, views, "eval")
     probs = softmax(logits).mean(axis=0)
     return int(np.argmax(probs)), probs
 
 
 def extract_features(model: ModelState, img: GrayImage) -> np.ndarray:
-    """Feature vector of the center crop in eval mode (the representation the
-    nearest-feature rule compares)."""
-    px = _prepared_pixels(model, img)
-    if model.arch.kind == "fusion":
-        if px.shape != (MULTICROP_SOURCE, MULTICROP_SOURCE):
-            raise ValueError(f"expected {MULTICROP_SOURCE}x{MULTICROP_SOURCE} image")
-        center = (MULTICROP_SOURCE - MULTICROP_WINDOW) // 2
-        crop = px[center : center + MULTICROP_WINDOW, center : center + MULTICROP_WINDOW]
-        batch = crop[None, :, :]
-    else:
-        desc = handcrafted_descriptor(crop_regions(GrayImage(px)), FeatureConfig())
-        batch = desc.values[None, :]
+    """Feature vector in eval mode of the center crop (view 4 of
+    multicrop_batch), or of the whole descriptor row for descriptor models:
+    the representation the nearest-feature rule compares."""
+    x = model_input(model, img)
+    batch = multicrop_batch(x)[4:5] if model.arch.kind == "fusion" else x[None, :]
     _, features, _ = forward(model, batch.astype(model_dtype(model)), "eval")
     return features[0]
 
@@ -208,9 +196,8 @@ def single_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarray]:
     geometry, so this is their softmax inference)."""
     if model.arch.kind == "fusion":
         return multicrop_predict(model, img)
-    px = _prepared_pixels(model, img)
-    desc = handcrafted_descriptor(crop_regions(GrayImage(px)), FeatureConfig())
-    logits, _, _ = forward(model, desc.values[None, :].astype(model_dtype(model)), "eval")
+    row = model_input(model, img)[None, :]
+    logits, _, _ = forward(model, row.astype(model_dtype(model)), "eval")
     probs = softmax(logits)[0]
     return int(np.argmax(probs)), probs
 

@@ -264,6 +264,12 @@ def handcrafted_descriptor(regions: RegionSet, cfg: FeatureConfig) -> FeatureDes
     return FeatureDescriptor(np.concatenate(parts), tuple(layout))
 
 
+def image_descriptor(face: GrayImage) -> FeatureDescriptor:
+    """The default-config descriptor of a face image as loaded: the row the
+    `features` subcommand writes and the `mlp-handcrafted` network input."""
+    return handcrafted_descriptor(crop_regions(face), FeatureConfig())
+
+
 def write_descriptor_csv(
     path, descriptors: list[FeatureDescriptor], labels: list[str]
 ) -> None:

@@ -286,10 +286,13 @@ def _arch_from_description(line: str):
     for tok in tokens[2:]:
         key, _, value = tok.partition("=")
         kwargs[key] = float(value) if key == "dropout_p" else int(value)
-    if kind == "fusion":
-        return FusionArch(**kwargs)
-    if kind == "mlp":
-        return MlpArch(**kwargs)
+    try:
+        if kind == "fusion":
+            return FusionArch(**kwargs)
+        if kind == "mlp":
+            return MlpArch(**kwargs)
+    except TypeError as err:
+        raise ValueError(f"bad arch descriptor {line!r}: {err}") from None
     raise ValueError(f"unknown arch kind {kind!r}")
 
 
@@ -476,6 +479,7 @@ def save_checkpoint(path, model: ModelState) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
+    """Read a save_checkpoint file; a malformed one raises ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(CHECKPOINT_MAGIC):
@@ -484,9 +488,9 @@ def load_checkpoint(path) -> ModelState:
     lines = data[len(CHECKPOINT_MAGIC) : header_end].decode("ascii").splitlines()
     payload = data[header_end + len(b"\nend\n") :]
 
-    arch = _arch_from_description(lines[0])
-    if not lines[1].startswith("classes "):
+    if len(lines) < 2 or not lines[1].startswith("classes "):
         raise ValueError("checkpoint missing class names")
+    arch = _arch_from_description(lines[0])
     class_names = tuple(lines[1][len("classes ") :].split(","))
 
     tensors: dict[str, np.ndarray] = {}
@@ -502,19 +506,27 @@ def load_checkpoint(path) -> ModelState:
             raise ValueError(f"checkpoint payload truncated at tensor {name!r}")
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
         offset += 4 * count
+    if offset != len(payload):
+        raise ValueError(f"checkpoint has {len(payload) - offset} bytes after its last tensor")
+
+    def tensor(name, shape=None):
+        if name not in tensors:
+            raise ValueError(f"checkpoint has no tensor {name!r}")
+        if shape is not None and tensors[name].shape != shape:
+            raise ValueError(f"tensor {name} has shape {tensors[name].shape}, arch wants {shape}")
+        return tensors[name]
 
     params: dict[str, np.ndarray] = {}
     momentum: dict[str, np.ndarray] = {}
     for name, shape, _ in arch.param_shapes():
-        params[name] = tensors[f"param:{name}"]
-        momentum[name] = tensors[f"momentum:{name}"]
-        if params[name].shape != shape:
-            raise ValueError(f"tensor {name} has shape {params[name].shape}, arch wants {shape}")
+        params[name] = tensor(f"param:{name}", shape)
+        momentum[name] = tensor(f"momentum:{name}", shape)
     stats = None
     if "pixel_stats.mean" in tensors:
         stats = PixelStats(
-            tensors["pixel_stats.mean"],
-            tensors["pixel_stats.std"],
-            float(tensors["pixel_stats.epsilon"][0]),
+            tensor("pixel_stats.mean"),
+            tensor("pixel_stats.std"),
+            float(tensor("pixel_stats.epsilon", (1,))[0]),
         )
-    return ModelState(arch, params, momentum, tensors["centers"], class_names, stats)
+    centers = tensor("centers", (arch.classes, arch.feature_dim))
+    return ModelState(arch, params, momentum, centers, class_names, stats)

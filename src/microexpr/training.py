@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import GrayImage, LabeledSample
+from .features import image_descriptor
 from .network import ModelState, backward, forward, model_dtype, save_checkpoint, softmax
 from .preprocess import (
     apply_pixel_stats,
@@ -52,7 +53,6 @@ class TrainConfig:
     lr_drop_factor: float = 10.0
     plateau_patience: int = 10
     max_epochs: int = 1400
-    dropout_p: float = 0.5
     lambda_center: float = 1e-4
     alpha_center: float = 0.5
     loss_epsilon: float = 1e-3
@@ -71,8 +71,6 @@ class TrainConfig:
             raise ValueError("plateau_patience must be at least 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0,1)")
         if self.lambda_center < 0:
             raise ValueError("lambda_center must be non-negative")
         if not 0.0 < self.alpha_center <= 1.0:
@@ -247,6 +245,15 @@ def prepare_image(img: GrayImage, model: ModelState) -> GrayImage:
     return out
 
 
+def model_input(model: ModelState, img: GrayImage) -> np.ndarray:
+    """What the network is fed for one image, in training and at inference:
+    the prepared pixels for the fusion CNN, the descriptor of the image as
+    loaded for the descriptor MLP (pixel statistics do not apply to it)."""
+    if model.arch.kind == "fusion":
+        return prepare_image(img, model).pixels
+    return image_descriptor(img).values
+
+
 def _snapshot(model: ModelState):
     return (
         {k: v.copy() for k, v in model.params.items()},
@@ -334,14 +341,14 @@ def train(
     """Minimize CE + lambda * center loss with shuffled mini-batches until the
     mean epoch loss falls below loss_epsilon or max_epochs is reached.
 
-    Images must be 48x48; each is normalized once, then re-augmented every
-    epoch.  The final short batch is trained, not dropped.  On a non-finite
-    loss the last completed epoch's state is restored and NonFiniteLossError
-    is raised with the log so far attached.
+    Images must be 48x48; each is turned into its model_input once, then
+    re-augmented every epoch.  The final short batch is trained, not dropped.
+    On a non-finite loss the last completed epoch's state is restored and
+    NonFiniteLossError is raised with the log so far attached.
     """
     if not samples:
         raise ValueError("empty training set")
-    prepared = np.stack([prepare_image(s.image, model).pixels for s in samples])
+    prepared = np.stack([model_input(model, s.image) for s in samples])
     if prepared.shape[1:] != (AUGMENT_INPUT, AUGMENT_INPUT):
         raise ValueError(f"training images must be {AUGMENT_INPUT}x{AUGMENT_INPUT}")
     labels = np.array([s.label for s in samples], dtype=np.int64)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from microexpr import evaluation, network, training
 from microexpr.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -14,7 +15,18 @@ from microexpr.cli import (
     resolve_option,
     save_pixel_stats,
 )
+from microexpr.dataset import GrayImage, encode_pgm
+from microexpr.network import FusionArch, init_model, load_checkpoint, save_checkpoint
 from microexpr.preprocess import PixelStats
+
+
+def untrained_model(root):
+    """A freshly initialized two-class fusion checkpoint and a 48x48 image."""
+    ckpt, image = root / "model.ckpt", root / "face.pgm"
+    save_checkpoint(ckpt, init_model(FusionArch(classes=2), ("C0", "C1"), seed=0,
+                                     dtype=np.float32))
+    image.write_bytes(encode_pgm(GrayImage(np.random.default_rng(0).random((48, 48)))))
+    return ckpt, image
 
 
 def run_pipeline(root, seed=3, classes=3, per_class=8, epochs=3, extra_train=()):
@@ -96,6 +108,15 @@ class TestPixelStatsFile:
         save_pixel_stats(b, stats)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("edit", [lambda d: d[:-4], lambda d: d + b"\0\0\0\0"],
+                             ids=["short", "trailing"])
+    def test_payload_length_checked(self, tmp_path, edit):
+        path = tmp_path / "stats.bin"
+        save_pixel_stats(path, PixelStats(np.ones((2, 2)), np.ones((2, 2)), 1e-6))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="payload"):
+            load_pixel_stats(path)
+
 
 class TestPipeline:
     def test_end_to_end_artifacts(self, tmp_path, capsys):
@@ -161,8 +182,6 @@ class TestPipeline:
         assert main(["train", "--train-manifest", str(work / "train.csv"),
                      "--max-epochs", "5", "--checkpoint-every", "2", "--seed", "8",
                      "--out", str(run)]) == EXIT_OK
-        from microexpr.network import load_checkpoint
-
         assert (run / "model_epoch2.ckpt").exists()
         assert (run / "model_epoch4.ckpt").exists()
         assert not (run / "model_epoch5.ckpt").exists()
@@ -223,6 +242,49 @@ class TestPipeline:
         assert metrics["accuracy_trace"] == 1.0
         assert metrics["protocol"]["inference_mode"] == "external"
 
+    @pytest.mark.parametrize("profile", ["cnn-fusion", "mlp-handcrafted"])
+    def test_train_eval_and_predict_feed_the_same_input(self, tmp_path, monkeypatch, profile):
+        """Per image, the network input train fits is the one eval and
+        predict forward.  Augmentation is swapped for the center crop, so a
+        fusion training row is the view nearest-feature eval forwards."""
+        data, work, run = tmp_path / "data", tmp_path / "work", tmp_path / "run"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "2",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
+                     "--split-fraction", "0.25", "--seed", "2", "--out", str(work)]) == EXIT_OK
+        fed = []
+
+        def recording_forward(model, batch, mode, rng=None):
+            fed.extend(row.tobytes() for row in batch)
+            return network.forward(model, batch, mode, rng)
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        monkeypatch.setattr(evaluation, "forward", recording_forward)
+        monkeypatch.setattr(training, "apply_augment",
+                            lambda img, p: GrayImage(img.pixels[3:45, 3:45]))
+        assert main(["train", "--train-manifest", str(work / "train.csv"),
+                     "--stats", str(work / "pixel_stats.bin"), "--profile", profile,
+                     "--max-epochs", "1", "--seed", "2", "--out", str(run)]) == EXIT_OK
+        trained = set(fed)
+        assert len(trained) == 6
+        ckpt = run / "model.ckpt"
+
+        fed.clear()
+        assert main(["eval", "--test-manifest", str(work / "train.csv"), "--checkpoint", str(ckpt),
+                     "--inference-mode", "nearest-feature",
+                     "--gallery-manifest", str(work / "train.csv"), "--out", str(run)]) == EXIT_OK
+        assert set(fed) == trained
+
+        predicted = set()
+        for line in (work / "train.csv").read_text().splitlines()[2:]:
+            fed.clear()
+            assert main(["predict", str(work / line.split(",")[0]),
+                         "--checkpoint", str(ckpt)]) == EXIT_OK
+            [row] = trained.intersection(fed)
+            predicted.add(row)
+        assert predicted == trained
+        assert (load_checkpoint(ckpt).pixel_stats is None) == (profile == "mlp-handcrafted")
+
     def test_mlp_profile_trains_and_evaluates(self, tmp_path):
         run = run_pipeline(tmp_path, classes=2, per_class=6, epochs=2,
                            extra_train=["--profile", "mlp-handcrafted"])
@@ -230,8 +292,6 @@ class TestPipeline:
         assert "accuracy_trace" in metrics
 
     def test_ingest_jaffe_names(self, tmp_path, capsys):
-        from microexpr.dataset import GrayImage, encode_pgm
-
         src = tmp_path / "raw"
         src.mkdir()
         rng = np.random.default_rng(1)
@@ -283,14 +343,31 @@ class TestExitCodes:
         assert rc == EXIT_RUNTIME
         assert "byte offset" in capsys.readouterr().err
 
+    def test_predict_refuses_unprepared_image(self, tmp_path, capsys):
+        ckpt, _ = untrained_model(tmp_path)
+        raw = tmp_path / "raw.pgm"
+        raw.write_bytes(encode_pgm(GrayImage(np.random.default_rng(1).random((64, 64)))))
+        assert main(["predict", str(raw), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
+        assert "microexpr preprocess" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.replace(b"tensor param:head.w ", b"tensor param:head.x "),
+        lambda d: d.replace(b"crop_rows=", b"crop_rowz="),
+        lambda d: b"\n".join(d.split(b"\n")[:2]) + b"\nend\n",
+        lambda d: d + b"junk",
+    ], ids=["renamed-tensor", "unknown-arch-key", "arch-line-only", "trailing-bytes"])
+    def test_malformed_checkpoint_is_validation_error(self, tmp_path, capsys, corrupt):
+        ckpt, image = untrained_model(tmp_path)
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        assert main(["predict", str(image), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_manifest_is_validation_error(self, tmp_path):
         rc = main(["eval", "--test-manifest", str(tmp_path / "nope.csv"),
                    "--checkpoint", "x", "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
 
     def test_unreadable_entries_skipped_with_runtime_exit(self, tmp_path, capsys):
-        from microexpr.dataset import GrayImage, encode_pgm
-
         d = tmp_path / "imgs"
         d.mkdir()
         rng = np.random.default_rng(2)

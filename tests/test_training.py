@@ -282,7 +282,7 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.batch_size == 256
         assert cfg.momentum == 0.9
-        assert cfg.dropout_p == 0.5
+        assert FusionArch(classes=3).dropout_p == 0.5
         assert cfg.max_epochs == 1400
         assert cfg.lr == 0.01
         assert cfg.lr_drop_factor == 10.0
@@ -311,7 +311,7 @@ class TestShuffle:
 
 def quick_cfg(**kw):
     base = dict(batch_size=24, lr=0.02, max_epochs=20, seed=1,
-                lambda_center=1e-4, dropout_p=0.25, loss_epsilon=1e-4)
+                lambda_center=1e-4, loss_epsilon=1e-4)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -328,7 +328,7 @@ def eval_accuracy(model, samples):
 class TestTrainLoop:
     def _fresh(self, seed=1, **cfg_kw):
         cfg = quick_cfg(seed=seed, **cfg_kw)
-        arch = FusionArch(dropout_p=cfg.dropout_p, **SMALL_ARCH)
+        arch = FusionArch(dropout_p=0.25, **SMALL_ARCH)
         model = init_model(arch, CLASS3, seed=cfg.seed)
         return model, cfg
 
