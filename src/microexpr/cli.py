@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -171,13 +172,18 @@ def save_pixel_stats(path: Path, stats: preprocess.PixelStats) -> None:
 
 
 def load_pixel_stats(path: Path) -> preprocess.PixelStats:
+    """Read a save_pixel_stats file; a malformed one raises ValueError."""
     data = path.read_bytes()
     if not data.startswith(STATS_MAGIC):
         raise ValueError(f"{path} is not a pixel statistics file")
-    head_end = data.index(b"end\n") + 4
-    shape_line = data[len(STATS_MAGIC) : head_end].decode("ascii").splitlines()[0]
-    h, w = (int(v) for v in shape_line.split()[1].split(","))
-    payload = data[head_end:]
+    header = data[len(STATS_MAGIC) :].split(b"\n", 2)
+    if len(header) < 3 or header[1] != b"end":
+        raise ValueError(f"{path}: pixel statistics header is not a shape line and an end line")
+    shape = re.fullmatch(rb"shape ([1-9][0-9]*),([1-9][0-9]*)", header[0])
+    if shape is None:
+        raise ValueError(f"{path}: bad shape line {header[0]!r}, expected 'shape h,w'")
+    h, w = int(shape[1]), int(shape[2])
+    payload = header[2]
     if len(payload) != 4 * (2 * h * w + 1):
         raise ValueError(f"{path}: {len(payload)} payload bytes, shape {h}x{w} needs "
                          f"{4 * (2 * h * w + 1)}")

@@ -117,6 +117,21 @@ class TestPixelStatsFile:
         with pytest.raises(ValueError, match="payload"):
             load_pixel_stats(path)
 
+    @pytest.mark.parametrize("header", [b"shape\nend\n", b"shape 2,x\nend\n", b"shape 2,2\n"],
+                             ids=["missing-dims", "non-integer-dims", "no-end-line"])
+    def test_malformed_header_is_validation_error(self, tmp_path, capsys, header):
+        data, work = tmp_path / "data", tmp_path / "work"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
+                     "--seed", "1", "--out", str(work)]) == EXIT_OK
+        stats = tmp_path / "stats.bin"
+        stats.write_bytes(b"MFESTATS1\n" + header + np.zeros(9, dtype="<f4").tobytes())
+        rc = main(["train", "--train-manifest", str(work / "train.csv"),
+                   "--stats", str(stats), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_end_to_end_artifacts(self, tmp_path, capsys):

@@ -276,6 +276,63 @@ class TestLayerGradients:
             assert_close_rel(db, numeric_grad(loss, b))
 
 
+class TestMaxPoolTieRouting:
+    """A tied tile routes its gradient to the first maximum in tile order
+    (0,0), (0,1), (1,0), (1,1); rows and columns past the last full tile get
+    none.  The branch pools before its relu, which relies on the last test."""
+
+    @staticmethod
+    def pool_grad(x, dout=None):
+        out, cache = maxpool2_forward(x)
+        if dout is None:
+            dout = np.ones_like(out)
+        return out, maxpool2_backward(dout, cache)
+
+    def test_all_equal_tile_routes_to_top_left(self):
+        for value in (-1.5, 0.0, 2.0):
+            out, dx = self.pool_grad(np.full((1, 1, 2, 2), value))
+            assert out[0, 0, 0, 0] == value
+            assert np.array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_tie_between_top_right_and_bottom_left(self):
+        out, dx = self.pool_grad(np.array([[[[0.5, 3.0], [3.0, -1.0]]]]))
+        assert out[0, 0, 0, 0] == 3.0
+        assert np.array_equal(dx[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_trailing_odd_row_and_column_get_no_gradient(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(2, 3, 5, 7))
+        dout = rng.normal(size=(2, 3, 2, 3)) + 5.0  # nonzero everywhere
+        out, dx = self.pool_grad(x, dout)
+        assert out.shape == dout.shape
+        assert dx.shape == x.shape
+        assert not dx[:, :, 4, :].any()
+        assert not dx[:, :, :, 6].any()
+        tiles = dx[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2)
+        assert np.array_equal((tiles != 0).sum(axis=(3, 5)), np.ones((2, 3, 2, 3)))
+        assert np.array_equal(tiles.sum(axis=(3, 5)), dout)
+
+    def test_relu_and_pool_commute_on_negative_and_tied_tiles(self):
+        rng = np.random.default_rng(43)
+        # Values from a small set, so most tiles hold ties, many are all
+        # negative and some mix zeros with negatives.
+        x = rng.choice([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0], size=(3, 4, 8, 9))
+        x[:, :, :4, :4] = -rng.random((3, 4, 4, 4)) - 0.1
+        x[:, :, 4:, 4:6] = 1.0
+        dout = rng.normal(size=(3, 4, 4, 4))
+
+        r, mask = relu_forward(x)
+        relu_first, pool_cache = maxpool2_forward(r)
+        grad_relu_first = relu_backward(maxpool2_backward(dout, pool_cache), mask)
+
+        p, pool_cache = maxpool2_forward(x)
+        pool_first, mask = relu_forward(p)
+        grad_pool_first = maxpool2_backward(relu_backward(dout, mask), pool_cache)
+
+        assert np.array_equal(relu_first, pool_first)
+        assert np.array_equal(grad_relu_first, grad_pool_first)
+
+
 def joint_loss(model, batch, labels, lam, drop_seed):
     """CE + lam * center loss with a dropout mask pinned by drop_seed."""
     from microexpr.training import center_loss, cross_entropy
@@ -412,6 +469,115 @@ class TestFusedJointLossGradient:
         for name in full:
             merged = (first[name] + second[name]) / 2.0
             assert np.allclose(full[name], merged, atol=1e-12)
+
+
+def reference_conv(x, w, b):
+    """Direct sum over the filter taps, in float64."""
+    kh, kw = w.shape[2:]
+    oh, ow = x.shape[2] - kh + 1, x.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], w.shape[0], oh, ow)) + b[:, None, None]
+    for i in range(kh):
+        for j in range(kw):
+            out += np.einsum("fc,bcyx->bfyx", w[:, :, i, j], x[:, :, i : i + oh, j : j + ow])
+    return out
+
+
+def reference_conv_grads(dout, x, w):
+    kh, kw = w.shape[2:]
+    oh, ow = dout.shape[2:]
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i : i + oh, j : j + ow] += np.einsum("fc,bfyx->bcyx", w[:, :, i, j], dout)
+            dw[:, :, i, j] = np.einsum("bfyx,bcyx->fc", dout, x[:, :, i : i + oh, j : j + ow])
+    return dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+def reference_pool(x):
+    """Per-tile argmax; returns the pooled map and each tile's argmax 0..3."""
+    batch, ch, h, w = x.shape
+    out = np.empty((batch, ch, h // 2, w // 2))
+    arg = np.empty(out.shape, dtype=int)
+    for ty in range(h // 2):
+        for tx in range(w // 2):
+            tile = x[:, :, 2 * ty : 2 * ty + 2, 2 * tx : 2 * tx + 2].reshape(batch, ch, 4)
+            arg[:, :, ty, tx] = tile.argmax(axis=-1)
+            out[:, :, ty, tx] = tile.max(axis=-1)
+    return out, arg
+
+
+def reference_unpool(dout, arg, shape):
+    dx = np.zeros(shape)
+    bi, ci = np.indices(arg.shape[:2])
+    for ty in range(arg.shape[2]):
+        for tx in range(arg.shape[3]):
+            k = arg[:, :, ty, tx]
+            dx[bi, ci, 2 * ty + k // 2, 2 * tx + k % 2] = dout[:, :, ty, tx]
+    return dx
+
+
+def reference_branch_forward(x2d, params, prefix):
+    """conv -> relu -> pool twice, then fc -> relu, from the reference kernels."""
+    x = x2d[:, None, :, :]
+    h1 = reference_conv(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
+    p1, arg1 = reference_pool(np.maximum(h1, 0.0))
+    h2 = reference_conv(p1, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
+    p2, arg2 = reference_pool(np.maximum(h2, 0.0))
+    flat = p2.reshape(len(x), -1)
+    d = flat @ params[f"{prefix}.fc.w"] + params[f"{prefix}.fc.b"]
+    return np.maximum(d, 0.0), (x, h1, arg1, p1, h2, arg2, flat, d, params)
+
+
+def reference_branch_backward(dact, cache, grads, prefix):
+    x, h1, arg1, p1, h2, arg2, flat, d, params = cache
+    dd = dact * (d > 0)
+    grads[f"{prefix}.fc.w"], grads[f"{prefix}.fc.b"] = flat.T @ dd, dd.sum(axis=0)
+    dp2 = (dd @ params[f"{prefix}.fc.w"].T).reshape(arg2.shape)
+    dh2 = reference_unpool(dp2, arg2, h2.shape) * (h2 > 0)
+    dp1, grads[f"{prefix}.conv2.w"], grads[f"{prefix}.conv2.b"] = reference_conv_grads(
+        dh2, p1, params[f"{prefix}.conv2.w"])
+    dh1 = reference_unpool(dp1, arg1, h1.shape) * (h1 > 0)
+    _, grads[f"{prefix}.conv1.w"], grads[f"{prefix}.conv1.b"] = reference_conv_grads(
+        dh1, x, params[f"{prefix}.conv1.w"])
+
+
+class TestRealShapeParity:
+    """The default arch (42x42 face, 14x42 eye and mouth crops) in float64
+    against branches built from a direct-sum conv and a per-tile argmax pool
+    in the conv -> relu -> pool order."""
+
+    def test_forward_and_backward_match_reference(self, monkeypatch):
+        from microexpr import network
+
+        arch = FusionArch(classes=7)
+        model = init_model(arch, tuple("abcdefg"), seed=31)
+        rng = np.random.default_rng(32)
+        for name in model.params:
+            if name.endswith(".b"):
+                model.params[name] += rng.normal(0.0, 0.05, size=model.params[name].shape)
+        batch = rng.normal(size=(3, 42, 42))
+        dlogits = rng.normal(size=(3, 7))
+        dfeatures = rng.normal(size=(3, arch.feature_dim))
+
+        def run():
+            eval_logits, eval_features, _ = forward(model, batch, "eval")
+            logits, features, cache = forward(model, batch, "train", substream(33, 0))
+            grads = backward(model, cache, dlogits, dfeatures)
+            return {"eval_logits": eval_logits, "eval_features": eval_features,
+                    "logits": logits, "features": features, **grads}
+
+        got = run()
+        monkeypatch.setattr(network, "_branch_forward", reference_branch_forward)
+        monkeypatch.setattr(network, "_branch_backward", reference_branch_backward)
+        want = run()
+
+        assert set(got) == set(want) == {"eval_logits", "eval_features", "logits",
+                                         "features", *model.params}
+        for name, ref in want.items():
+            assert got[name].shape == ref.shape, name
+            assert np.abs(ref).max() > 0.0, name
+            err = np.abs(got[name] - ref).max() / np.abs(ref).max()
+            assert err < 1e-10, f"{name}: relative error {err}"
 
 
 class TestDropout:
