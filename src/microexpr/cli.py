@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import re
 import sys
 from pathlib import Path
 
@@ -21,12 +20,11 @@ import numpy as np
 
 from . import dataset, evaluation, features, network, preprocess, training
 from .dataset import GrayImage, LabeledSample, Manifest, ManifestError, PgmError
+from .network import load_pixel_stats, save_pixel_stats
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-STATS_MAGIC = b"MFESTATS1\n"
 
 
 class ConfigError(ValueError):
@@ -158,39 +156,6 @@ def _write_manifest_csv(path: Path, rows: list[tuple[str, str, str]], class_name
     lines = ["# classes: " + ",".join(class_names), "path,label,subject"]
     lines += [f"{p},{label},{subject}" for p, label, subject in rows]
     path.write_text("\n".join(lines) + "\n")
-
-
-def save_pixel_stats(path: Path, stats: preprocess.PixelStats) -> None:
-    h, w = stats.mean.shape
-    header = f"shape {h},{w}\nend\n".encode("ascii")
-    payload = (
-        np.ascontiguousarray(stats.mean, dtype="<f4").tobytes()
-        + np.ascontiguousarray(stats.std, dtype="<f4").tobytes()
-        + np.array([stats.epsilon], dtype="<f4").tobytes()
-    )
-    path.write_bytes(STATS_MAGIC + header + payload)
-
-
-def load_pixel_stats(path: Path) -> preprocess.PixelStats:
-    """Read a save_pixel_stats file; a malformed one raises ValueError."""
-    data = path.read_bytes()
-    if not data.startswith(STATS_MAGIC):
-        raise ValueError(f"{path} is not a pixel statistics file")
-    header = data[len(STATS_MAGIC) :].split(b"\n", 2)
-    if len(header) < 3 or header[1] != b"end":
-        raise ValueError(f"{path}: pixel statistics header is not a shape line and an end line")
-    shape = re.fullmatch(rb"shape ([1-9][0-9]*),([1-9][0-9]*)", header[0])
-    if shape is None:
-        raise ValueError(f"{path}: bad shape line {header[0]!r}, expected 'shape h,w'")
-    h, w = int(shape[1]), int(shape[2])
-    payload = header[2]
-    if len(payload) != 4 * (2 * h * w + 1):
-        raise ValueError(f"{path}: {len(payload)} payload bytes, shape {h}x{w} needs "
-                         f"{4 * (2 * h * w + 1)}")
-    floats = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    mean = floats[: h * w].reshape(h, w)
-    std = floats[h * w : 2 * h * w].reshape(h, w)
-    return preprocess.PixelStats(mean, std, float(floats[2 * h * w]))
 
 
 def _class_names_for(classes: int) -> tuple[str, ...]:

@@ -1,5 +1,6 @@
 """Layer primitives with hand-derived backward passes, the three-branch
-fusion classifier, and checkpoint serialization.
+fusion classifier, and the tensor files that hold checkpoints and pixel
+statistics.
 
 All primitives follow the dtype of their inputs: float64 models support
 finite-difference verification, float32 models train about 1.8 times
@@ -12,6 +13,7 @@ the fused feature node.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .preprocess import PixelStats
 from .rng import STREAM_INIT, substream
 
-CHECKPOINT_MAGIC = b"MFEDRL1\n"
+TENSOR_MAGIC = b"MFETENSOR1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +280,17 @@ class MlpArch:
 
 def _arch_from_description(line: str):
     tokens = line.split()
-    if len(tokens) < 2 or tokens[0] != "arch":
+    archs = {"fusion": FusionArch, "mlp": MlpArch}
+    if len(tokens) < 2 or tokens[0] != "arch" or tokens[1] not in archs:
         raise ValueError(f"bad arch descriptor {line!r}")
-    kind = tokens[1]
     kwargs = {}
     for tok in tokens[2:]:
         key, _, value = tok.partition("=")
         kwargs[key] = float(value) if key == "dropout_p" else int(value)
     try:
-        if kind == "fusion":
-            return FusionArch(**kwargs)
-        if kind == "mlp":
-            return MlpArch(**kwargs)
+        return archs[tokens[1]](**kwargs)
     except TypeError as err:
         raise ValueError(f"bad arch descriptor {line!r}: {err}") from None
-    raise ValueError(f"unknown arch kind {kind!r}")
 
 
 @dataclass
@@ -449,84 +447,120 @@ def backward(model: ModelState, cache, dlogits: np.ndarray, dfeatures: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint IO: magic line, text header (arch, classes, tensor manifest),
-# then raw little-endian float32 payloads in manifest order.
+# Tensor files, the one format of checkpoints and pixel statistics: a magic
+# line, optional metadata lines, one `tensor <name> <d1,d2,...>` line per
+# tensor, an `end` line, then little-endian float32 payloads in header order.
 
 
-def _tensor_manifest(model: ModelState) -> list[tuple[str, np.ndarray]]:
-    entries = [(f"param:{name}", model.params[name]) for name in model.params]
-    entries += [(f"momentum:{name}", model.momentum[name]) for name in model.momentum]
-    entries.append(("centers", model.centers))
-    if model.pixel_stats is not None:
-        entries.append(("pixel_stats.mean", model.pixel_stats.mean))
-        entries.append(("pixel_stats.std", model.pixel_stats.std))
-        entries.append(("pixel_stats.epsilon", np.array([model.pixel_stats.epsilon])))
-    return entries
-
-
-def save_checkpoint(path, model: ModelState) -> None:
-    entries = _tensor_manifest(model)
-    header = [model.arch.describe(), "classes " + ",".join(model.class_names)]
-    for name, tensor in entries:
-        dims = ",".join(str(d) for d in tensor.shape)
-        header.append(f"tensor {name} {dims}")
+def _write_tensors(path, meta: list[str], entries: list[tuple[str, np.ndarray]]) -> None:
+    header = meta + [f"tensor {name} {','.join(str(d) for d in tensor.shape)}"
+                     for name, tensor in entries]
     header.append("end")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
+        fh.write(TENSOR_MAGIC)
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for _, tensor in entries:
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
+def _read_tensors(path, meta_lines: int) -> tuple[list[str], dict[str, np.ndarray]]:
+    """(metadata lines, {name: float32 array}) of a _write_tensors file whose
+    first meta_lines header lines are metadata; a malformed file raises ValueError."""
+    with open(path, "rb") as fh:
+        remaining = os.fstat(fh.fileno()).st_size
+        if fh.read(len(TENSOR_MAGIC)) != TENSOR_MAGIC:
+            raise ValueError(f"{path}: not a microexpr tensor file (bad magic); to replace "
+                             "an older version's file, re-run `microexpr preprocess` or `train`")
+        lines = []
+        for line in iter(fh.readline, b"end\n"):
+            if not line.endswith(b"\n"):
+                raise ValueError(f"{path}: tensor file header has no end line")
+            # A non-ASCII header raises UnicodeDecodeError, a ValueError.
+            lines.append(line[:-1].decode("ascii"))
+
+        # Payloads follow in header order; each size is checked before its array exists.
+        remaining -= fh.tell()
+        tensors: dict[str, np.ndarray] = {}
+        for line in lines[meta_lines:]:
+            tokens = line.split()
+            dims = tokens[2].split(",") if len(tokens) == 3 and tokens[0] == "tensor" else []
+            if not dims or not all(d.isdigit() and int(d) > 0 for d in dims):
+                raise ValueError(f"{path}: malformed tensor line {line!r}, expected "
+                                 "'tensor <name> <d1,d2,...>' with positive integer dims")
+            name, shape = tokens[1], tuple(int(d) for d in dims)
+            if name in tensors:
+                raise ValueError(f"{path}: duplicate tensor {name!r}")
+            count = math.prod(shape)
+            if remaining < 4 * count:
+                raise ValueError(f"{path}: payload truncated at tensor {name!r}")
+            tensors[name] = np.fromfile(fh, "<f4", count).reshape(shape)
+            remaining -= 4 * count
+    if remaining:
+        raise ValueError(f"{path}: {remaining} payload bytes after the last tensor")
+    return lines[:meta_lines], tensors
+
+
+def _take(path, tensors: dict[str, np.ndarray], name: str, shape=None) -> np.ndarray:
+    """Remove and return tensors[name], which must exist and have the shape."""
+    if name not in tensors:
+        raise ValueError(f"{path}: no tensor {name!r}")
+    tensor = tensors.pop(name)
+    if shape is not None and tensor.shape != shape:
+        raise ValueError(f"{path}: tensor {name} has shape {tensor.shape}, expected {shape}")
+    return tensor
+
+
+def _stats_entries(stats: PixelStats) -> list[tuple[str, np.ndarray]]:
+    return [("pixel_stats.mean", stats.mean), ("pixel_stats.std", stats.std),
+            ("pixel_stats.epsilon", np.array([stats.epsilon]))]
+
+
+def _stats_from_tensors(path, tensors: dict[str, np.ndarray]) -> PixelStats:
+    """Remove the three pixel_stats.* tensors and build PixelStats from them."""
+    mean = _take(path, tensors, "pixel_stats.mean")
+    std = _take(path, tensors, "pixel_stats.std", mean.shape)
+    return PixelStats(mean, std, float(_take(path, tensors, "pixel_stats.epsilon", (1,))[0]))
+
+
+def save_checkpoint(path, model: ModelState) -> None:
+    """Write the arch, class names, parameters, class centers and pixel
+    statistics.  Payloads are float32, so a float64 model reloads as float32.
+    Momentum is not written: load_checkpoint gives zero buffers."""
+    entries = [(f"param:{name}", tensor) for name, tensor in model.params.items()]
+    entries.append(("centers", model.centers))
+    if model.pixel_stats is not None:
+        entries += _stats_entries(model.pixel_stats)
+    meta = [model.arch.describe(), "classes " + ",".join(model.class_names)]
+    _write_tensors(path, meta, entries)
+
+
 def load_checkpoint(path) -> ModelState:
     """Read a save_checkpoint file; a malformed one raises ValueError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise ValueError("not a model checkpoint (bad magic)")
-    header_end = data.index(b"\nend\n", len(CHECKPOINT_MAGIC))
-    lines = data[len(CHECKPOINT_MAGIC) : header_end].decode("ascii").splitlines()
-    payload = data[header_end + len(b"\nend\n") :]
-
-    if len(lines) < 2 or not lines[1].startswith("classes "):
-        raise ValueError("checkpoint missing class names")
-    arch = _arch_from_description(lines[0])
-    class_names = tuple(lines[1][len("classes ") :].split(","))
-
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for line in lines[2:]:
-        tag, name, dims = line.split()
-        if tag != "tensor":
-            raise ValueError(f"unexpected header line {line!r}")
-        shape = tuple(int(d) for d in dims.split(","))
-        count = int(np.prod(shape))
-        raw = payload[offset : offset + 4 * count]
-        if len(raw) < 4 * count:
-            raise ValueError(f"checkpoint payload truncated at tensor {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
-        offset += 4 * count
-    if offset != len(payload):
-        raise ValueError(f"checkpoint has {len(payload) - offset} bytes after its last tensor")
-
-    def tensor(name, shape=None):
-        if name not in tensors:
-            raise ValueError(f"checkpoint has no tensor {name!r}")
-        if shape is not None and tensors[name].shape != shape:
-            raise ValueError(f"tensor {name} has shape {tensors[name].shape}, arch wants {shape}")
-        return tensors[name]
-
-    params: dict[str, np.ndarray] = {}
-    momentum: dict[str, np.ndarray] = {}
-    for name, shape, _ in arch.param_shapes():
-        params[name] = tensor(f"param:{name}", shape)
-        momentum[name] = tensor(f"momentum:{name}", shape)
-    stats = None
-    if "pixel_stats.mean" in tensors:
-        stats = PixelStats(
-            tensor("pixel_stats.mean"),
-            tensor("pixel_stats.std"),
-            float(tensor("pixel_stats.epsilon", (1,))[0]),
-        )
-    centers = tensor("centers", (arch.classes, arch.feature_dim))
+    meta, tensors = _read_tensors(path, 2)
+    if len(meta) != 2 or not meta[1].startswith("classes "):
+        raise ValueError(f"{path}: checkpoint header must be an arch line and a classes line")
+    arch = _arch_from_description(meta[0])
+    class_names = tuple(meta[1][len("classes ") :].split(","))
+    if len(class_names) != arch.classes:
+        raise ValueError(f"{path}: {len(class_names)} class names for {arch.classes} classes")
+    params = {name: _take(path, tensors, f"param:{name}", shape)
+              for name, shape, _ in arch.param_shapes()}
+    centers = _take(path, tensors, "centers", (arch.classes, arch.feature_dim))
+    stats = _stats_from_tensors(path, tensors) if "pixel_stats.mean" in tensors else None
+    if tensors:
+        raise ValueError(f"{path}: checkpoint has unexpected tensors {sorted(tensors)}")
+    momentum = {name: np.zeros_like(tensor) for name, tensor in params.items()}
     return ModelState(arch, params, momentum, centers, class_names, stats)
+
+
+def save_pixel_stats(path, stats: PixelStats) -> None:
+    _write_tensors(path, [], _stats_entries(stats))
+
+
+def load_pixel_stats(path) -> PixelStats:
+    """Read a save_pixel_stats file; a malformed one raises ValueError."""
+    _, tensors = _read_tensors(path, 0)
+    stats = _stats_from_tensors(path, tensors)
+    if tensors:
+        raise ValueError(f"{path}: pixel statistics file has unexpected tensors {sorted(tensors)}")
+    return stats

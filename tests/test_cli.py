@@ -117,20 +117,32 @@ class TestPixelStatsFile:
         with pytest.raises(ValueError, match="payload"):
             load_pixel_stats(path)
 
-    @pytest.mark.parametrize("header", [b"shape\nend\n", b"shape 2,x\nend\n", b"shape 2,2\n"],
-                             ids=["missing-dims", "non-integer-dims", "no-end-line"])
-    def test_malformed_header_is_validation_error(self, tmp_path, capsys, header):
+    def test_old_format_refused(self, tmp_path):
+        path = tmp_path / "stats.bin"
+        path.write_bytes(b"MFESTATS1\nshape 2,2\nend\n" + np.ones(9, dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match="microexpr preprocess"):
+            load_pixel_stats(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"tensor pixel_stats.mean\ntensor pixel_stats.std 2,2\n"
+         b"tensor pixel_stats.epsilon 1\nend\n", "malformed tensor line"),
+        (b"tensor pixel_stats.mean 2,x\ntensor pixel_stats.std 2,2\n"
+         b"tensor pixel_stats.epsilon 1\nend\n", "malformed tensor line"),
+        (b"tensor pixel_stats.mean 2,2\ntensor pixel_stats.std 2,2\n"
+         b"tensor pixel_stats.epsilon 1\n", "no end line"),
+    ], ids=["missing-dims", "non-integer-dims", "no-end-line"])
+    def test_malformed_header_is_validation_error(self, tmp_path, capsys, header, message):
         data, work = tmp_path / "data", tmp_path / "work"
         assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
                      "--out", str(data)]) == EXIT_OK
         assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
                      "--seed", "1", "--out", str(work)]) == EXIT_OK
         stats = tmp_path / "stats.bin"
-        stats.write_bytes(b"MFESTATS1\n" + header + np.zeros(9, dtype="<f4").tobytes())
+        stats.write_bytes(network.TENSOR_MAGIC + header + np.ones(9, dtype="<f4").tobytes())
         rc = main(["train", "--train-manifest", str(work / "train.csv"),
                    "--stats", str(stats), "--out", str(tmp_path / "run")])
         assert rc == EXIT_VALIDATION
-        assert "error:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -370,7 +382,13 @@ class TestExitCodes:
         lambda d: d.replace(b"crop_rows=", b"crop_rowz="),
         lambda d: b"\n".join(d.split(b"\n")[:2]) + b"\nend\n",
         lambda d: d + b"junk",
-    ], ids=["renamed-tensor", "unknown-arch-key", "arch-line-only", "trailing-bytes"])
+        lambda d: d.replace(b"\nend\n", b"\ntensor foo 1\nend\n", 1) + bytes(4),
+        lambda d: d.replace(b"\nend\n", b"\ntensor centers 2,128\nend\n", 1) + bytes(4 * 2 * 128),
+        lambda d: d.replace(b"\nend\n", b"\ntensor momentum:head.b 2\nend\n", 1) + bytes(4 * 2),
+        lambda d: d.replace(b"classes C0,C1", b"classes C0"),
+        lambda d: d.replace(network.TENSOR_MAGIC, b"MFEDRL1\n", 1),
+    ], ids=["renamed-tensor", "unknown-arch-key", "arch-line-only", "trailing-bytes",
+            "unknown-tensor", "duplicate-tensor", "momentum-tensor", "class-count", "old-format"])
     def test_malformed_checkpoint_is_validation_error(self, tmp_path, capsys, corrupt):
         ckpt, image = untrained_model(tmp_path)
         ckpt.write_bytes(corrupt(ckpt.read_bytes()))

@@ -21,11 +21,13 @@ from microexpr.network import (
     he_std,
     init_model,
     load_checkpoint,
+    load_pixel_stats,
     maxpool2_backward,
     maxpool2_forward,
     relu_backward,
     relu_forward,
     save_checkpoint,
+    save_pixel_stats,
     softmax,
 )
 from microexpr.preprocess import PixelStats
@@ -657,3 +659,38 @@ class TestCheckpoint:
         a, _, _ = forward(model, batch, "eval")
         b, _, _ = forward(loaded, batch, "eval")
         assert np.abs(a - b).max() < 1e-4  # float32 storage quantization
+
+
+class TestTensorFileFuzz:
+    """Truncated files and header byte flips: the loaders return or raise
+    ValueError, which the CLI maps to exit 1, and never raise anything else."""
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "stats"])
+    def test_truncations_and_header_flips(self, tmp_path, kind):
+        rng = np.random.default_rng(41)
+        stats = PixelStats(rng.random((16, 16)), rng.random((16, 16)) + 0.1, 1e-6)
+        path = tmp_path / kind
+        if kind == "checkpoint":
+            model = init_model(FusionArch(**TINY), CLASS3, seed=40)
+            model.pixel_stats = stats
+            save_checkpoint(path, model)
+            load = load_checkpoint
+        else:
+            save_pixel_stats(path, stats)
+            load = load_pixel_stats
+        data = path.read_bytes()
+        header_len = data.index(b"\nend\n") + len(b"\nend\n")
+        alphabet = list(b"\n ,:.=019aenst\xff")
+        for case in range(20):
+            if case % 2:
+                bad = data[: rng.integers(0, header_len if case % 4 == 1 else len(data))]
+            else:
+                flipped = bytearray(data)
+                for i in rng.integers(0, header_len, size=rng.integers(1, 4)):
+                    flipped[i] = rng.choice(alphabet)
+                bad = bytes(flipped)
+            path.write_bytes(bad)
+            try:
+                load(path)
+            except ValueError:
+                pass

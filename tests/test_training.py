@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from microexpr.dataset import GrayImage, LabeledSample, generate_synthetic
-from microexpr.network import FusionArch, backward, forward, init_model, softmax
-from microexpr.preprocess import bilinear_resize
+from microexpr.network import (
+    FusionArch,
+    backward,
+    forward,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+    softmax,
+)
+from microexpr.preprocess import bilinear_resize, fit_pixel_stats, normalize_per_image
 from microexpr.rng import STREAM_SHUFFLE, substream
 from microexpr.training import (
     AugmentParams,
@@ -448,3 +456,29 @@ class TestFineTune:
         fine_tune(model, samples, quick_cfg(max_epochs=5, seed=3, lr=0.005))
         tuned = eval_accuracy(model, samples)
         assert tuned >= base - 0.02
+
+    def test_reloaded_checkpoint_fine_tunes(self, tmp_path):
+        samples = small_corpus(per_class=4)
+        model = init_model(FusionArch(dropout_p=0.25, **SMALL_ARCH), CLASS3, seed=2,
+                           dtype=np.float32)
+        model.pixel_stats = fit_pixel_stats([normalize_per_image(s.image) for s in samples])
+        model, _ = train(model, samples, quick_cfg(max_epochs=3, seed=2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+
+        data = path.read_bytes()
+        header = data[: data.index(b"\nend\n") + len(b"\nend\n")]
+        assert b"momentum:" not in header
+        elements = (sum(p.size for p in model.params.values()) + model.centers.size
+                    + model.pixel_stats.mean.size + model.pixel_stats.std.size + 1)
+        assert len(data) == len(header) + 4 * elements
+
+        loaded = load_checkpoint(path)
+        for name, param in loaded.params.items():
+            assert loaded.momentum[name].shape == param.shape
+            assert not loaded.momentum[name].any()
+        before = {k: v.copy() for k, v in loaded.params.items()}
+        fine_tune(loaded, samples, quick_cfg(max_epochs=2, seed=9))
+        head = set(loaded.arch.head_param_names())
+        for name in before:
+            assert np.array_equal(loaded.params[name], before[name]) == (name not in head), name
