@@ -292,6 +292,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"unknown profile {opts.profile!r}")
     manifest_path = Path(args.train_manifest)
     manifest = _read_manifest_file(manifest_path)
+    # The checkpoint stores class names as one ASCII, comma-separated line.
+    unstorable = [n for n in manifest.class_names if not n.isascii() or "," in n or "\n" in n]
+    if unstorable:
+        raise ConfigError(f"class names {unstorable} cannot be stored in a checkpoint: "
+                          "use ASCII names without commas or newlines")
     samples = _load_samples(manifest_path, manifest)
     if not samples:
         raise ConfigError("training manifest has no entries")

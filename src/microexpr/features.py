@@ -8,6 +8,7 @@ fixed order eyes, face, mouth with LBP before HOG per region.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,9 +83,11 @@ class FeatureConfig:
     hog_bins: int = 9
 
 
+@functools.lru_cache(maxsize=None)
 def _area_weights(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic matrix mapping n_in samples to n_out area-averaged bins;
-    W[i, y] is the fractional coverage of input cell y by output bin i."""
+    W[i, y] is the fractional coverage of input cell y by output bin i.
+    Cached per size pair, so the array is read-only."""
     scale = n_in / n_out
     weights = np.zeros((n_out, n_in))
     for i in range(n_out):
@@ -95,6 +98,7 @@ def _area_weights(n_in: int, n_out: int) -> np.ndarray:
         for y in range(y0, y1):
             weights[i, y] = min(hi, y + 1.0) - max(lo, float(y))
         weights[i] /= scale
+    weights.flags.writeable = False
     return weights
 
 
@@ -147,12 +151,11 @@ def _lbp_codes(px: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _cell_bounds(extent: int, cells: int) -> list[tuple[int, int]]:
+def _cell_sizes(extent: int, cells: int) -> np.ndarray:
     # Equal split; the remainder goes to the last cell.
-    base = extent // cells
-    bounds = [(k * base, (k + 1) * base) for k in range(cells - 1)]
-    bounds.append(((cells - 1) * base, extent))
-    return bounds
+    sizes = np.full(cells, extent // cells)
+    sizes[-1] += extent % cells
+    return sizes
 
 
 def lbp_histogram(img: GrayImage, grid_w: int, grid_h: int) -> FeatureDescriptor:
@@ -164,21 +167,15 @@ def lbp_histogram(img: GrayImage, grid_w: int, grid_h: int) -> FeatureDescriptor
     if grid_w < 1 or grid_h < 1:
         raise ValueError("grid must be at least 1x1")
     codes = _lbp_codes(img.pixels)
-    row_bounds = _cell_bounds(codes.shape[0], grid_h)
-    col_bounds = _cell_bounds(codes.shape[1], grid_w)
-    parts: list[np.ndarray] = []
-    layout: list[tuple[str, int, int]] = []
-    offset = 0
-    for r, (r0, r1) in enumerate(row_bounds):
-        for c, (c0, c1) in enumerate(col_bounds):
-            cell = codes[r0:r1, c0:c1]
-            hist = np.bincount(cell.ravel(), minlength=256).astype(np.float64)
-            if cell.size:
-                hist /= cell.size
-            parts.append(hist)
-            layout.append((f"cell{r}_{c}", offset, 256))
-            offset += 256
-    return FeatureDescriptor(np.concatenate(parts), tuple(layout))
+    rows, cols = _cell_sizes(codes.shape[0], grid_h), _cell_sizes(codes.shape[1], grid_w)
+    # Each code is keyed by its row-major cell index and its value.
+    cell = np.repeat(np.arange(grid_h), rows)[:, None] * grid_w + np.repeat(np.arange(grid_w), cols)
+    counts = np.bincount((cell * 256 + codes).ravel(), minlength=grid_h * grid_w * 256)
+    # An empty cell has no counts, so dividing it by 1 leaves it all-zero.
+    hists = counts.reshape(-1, 256) / np.maximum(np.outer(rows, cols).reshape(-1, 1), 1)
+    layout = tuple((f"cell{k // grid_w}_{k % grid_w}", 256 * k, 256)
+                   for k in range(grid_h * grid_w))
+    return FeatureDescriptor(hists, layout)
 
 
 def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
@@ -214,34 +211,28 @@ def hog_descriptor(img: GrayImage, cell: int, bins: int) -> FeatureDescriptor:
         raise ValueError(f"image {img.width}x{img.height} smaller than one {cell}px cell")
     gx, gy = gradients(img)
     q, theta = gradient_polar(gx, gy)
+    cells_y, cells_x = img.height // cell, img.width // cell
+    q, theta = q[: cells_y * cell, : cells_x * cell], theta[: cells_y * cell, : cells_x * cell]
 
     bin_width = np.pi / bins
     t = theta / bin_width - 0.5
     lower = np.floor(t).astype(np.int64)
     frac = t - lower
-    lower_bin = np.mod(lower, bins)
-    upper_bin = np.mod(lower + 1, bins)
 
-    cells_y = img.height // cell
-    cells_x = img.width // cell
-    hists = np.zeros((cells_y, cells_x, bins))
-    for cy in range(cells_y):
-        for cx in range(cells_x):
-            sl = (slice(cy * cell, (cy + 1) * cell), slice(cx * cell, (cx + 1) * cell))
-            votes_lo = np.bincount(
-                lower_bin[sl].ravel(), weights=(q[sl] * (1 - frac[sl])).ravel(), minlength=bins
-            )
-            votes_hi = np.bincount(
-                upper_bin[sl].ravel(), weights=(q[sl] * frac[sl]).ravel(), minlength=bins
-            )
-            hists[cy, cx] = votes_lo + votes_hi
+    # One vote pass per neighbour bin, keyed by (cell, bin).  bincount adds a
+    # key's votes in row-major pixel order, the order of a cell-by-cell pass,
+    # so every sum is the same to the bit.
+    n = cells_y * cells_x * bins
+    key = np.arange(0, n, bins).reshape(cells_y, cells_x).repeat(cell, 0).repeat(cell, 1)
+    votes_lo = np.bincount((key + np.mod(lower, bins)).ravel(), (q * (1 - frac)).ravel(), n)
+    votes_hi = np.bincount((key + np.mod(lower + 1, bins)).ravel(), (q * frac).ravel(), n)
+    hists = (votes_lo + votes_hi).reshape(cells_y, cells_x, bins)
 
-    blocks: list[np.ndarray] = []
-    for by in range(cells_y - 1):
-        for bx in range(cells_x - 1):
-            v = hists[by : by + 2, bx : bx + 2].ravel()
-            blocks.append(v / math.sqrt(float(v @ v) + HOG_BLOCK_EPSILON**2))
-    flat = np.concatenate(blocks) if blocks else np.zeros(0)
+    # Each 2x2 block concatenates its cells (0,0), (0,1), (1,0), (1,1);
+    # vecdot sums a block as `v @ v` does, bit for bit.
+    blocks = np.concatenate((hists[:-1, :-1], hists[:-1, 1:], hists[1:, :-1], hists[1:, 1:]), -1)
+    norms = np.sqrt(np.vecdot(blocks, blocks) + HOG_BLOCK_EPSILON**2)
+    flat = (blocks / norms[..., None]).ravel()
     return FeatureDescriptor(flat, (("hog", 0, flat.size),))
 
 
@@ -288,4 +279,6 @@ def write_descriptor_csv(
         for desc, label in zip(descriptors, labels):
             if desc.layout != layout:
                 raise ValueError("descriptors have differing layouts")
-            writer.writerow([repr(float(v)) for v in desc.values] + [label])
+            # Float reprs need no quoting; the writer adds the label field.
+            fh.write(",".join(map(repr, desc.values.tolist())))
+            writer.writerow(("", label))

@@ -453,12 +453,12 @@ def backward(model: ModelState, cache, dlogits: np.ndarray, dfeatures: np.ndarra
 
 
 def _write_tensors(path, meta: list[str], entries: list[tuple[str, np.ndarray]]) -> None:
-    header = meta + [f"tensor {name} {','.join(str(d) for d in tensor.shape)}"
-                     for name, tensor in entries]
-    header.append("end")
+    lines = meta + [f"tensor {name} {','.join(str(d) for d in tensor.shape)}"
+                    for name, tensor in entries] + ["end"]
+    # Encoded before the file opens, so a non-ASCII header leaves no file.
+    header = ("\n".join(lines) + "\n").encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        fh.write(TENSOR_MAGIC + header)
         for _, tensor in entries:
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 

@@ -51,8 +51,8 @@ class PixelStats:
         std = np.asarray(self.std, dtype=np.float64)
         if mean.shape != std.shape:
             raise ValueError(f"mean shape {mean.shape} != std shape {std.shape}")
-        if np.any(std < 0):
-            raise ValueError("std must be non-negative")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std >= 0)):
+            raise ValueError("mean and std must be finite and std non-negative")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "mean", mean)

@@ -145,6 +145,32 @@ class TestPixelStatsFile:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("tensor", ["mean", "std"])
+    def test_nan_payload_is_validation_error(self, tmp_path, capsys, tensor):
+        data, work = tmp_path / "data", tmp_path / "work"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
+                     "--seed", "1", "--out", str(work)]) == EXIT_OK
+        stats = load_pixel_stats(work / "pixel_stats.bin")
+        # Payloads follow the header in the order mean, std, epsilon.
+        data_bytes = (work / "pixel_stats.bin").read_bytes()
+        start = data_bytes.index(b"\nend\n") + len(b"\nend\n")
+        if tensor == "std":
+            start += 4 * stats.mean.size
+        nan = np.full(stats.mean.size, np.nan, dtype="<f4").tobytes()
+        bad = tmp_path / "nan_stats.bin"
+        bad.write_bytes(data_bytes[:start] + nan + data_bytes[start + len(nan):])
+        with pytest.raises(ValueError, match="must be finite"):
+            load_pixel_stats(bad)
+        capsys.readouterr()
+        rc = main(["train", "--train-manifest", str(work / "train.csv"),
+                   "--stats", str(bad), "--max-epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == EXIT_VALIDATION
+        assert "mean and std must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
 class TestPipeline:
     def test_end_to_end_artifacts(self, tmp_path, capsys):
         run = run_pipeline(tmp_path)
@@ -361,6 +387,29 @@ class TestExitCodes:
         rc = main(["train", "--train-manifest", str(work / "train.csv"),
                    "--max-epochs", "0", "--out", str(tmp_path / "r")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("name", ["überrascht", "C1,x", "C1\nx"],
+                             ids=["non-ascii", "comma", "newline"])
+    def test_unstorable_class_name_refused_before_training(self, tmp_path, capsys, name):
+        data, work = tmp_path / "data", tmp_path / "work"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
+                     "--seed", "1", "--out", str(work)]) == EXIT_OK
+        # Without the classes line the class names are the labels as written.
+        rows = (work / "train.csv").read_text().splitlines()[1:]
+        quoted = '"' + name + '"'
+        manifest = work / "renamed.csv"
+        manifest.write_text("\n".join(r.replace(",C1,", f",{quoted},") for r in rows) + "\n",
+                            encoding="utf-8")
+        for profile in ("cnn-fusion", "mlp-handcrafted"):
+            run = tmp_path / profile
+            rc = main(["train", "--train-manifest", str(manifest), "--profile", profile,
+                       "--max-epochs", "1", "--out", str(run)])
+            assert rc == EXIT_VALIDATION
+            assert "cannot be stored in a checkpoint" in capsys.readouterr().err
+            assert not (run / "model.ckpt").exists()
+            assert not (run / "train_log.csv").exists()
 
     def test_malformed_pgm_predict_is_runtime_error(self, tmp_path, capsys):
         run = run_pipeline(tmp_path, classes=2, per_class=6, epochs=1)

@@ -1,20 +1,32 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from microexpr.dataset import GrayImage
+from microexpr.dataset import GrayImage, generate_synthetic
 from microexpr.features import (
+    HOG_BLOCK_EPSILON,
     FeatureConfig,
     FeatureDescriptor,
+    _area_weights,
+    _lbp_codes,
     avg_pool_resize,
     crop_regions,
     gradient_polar,
     gradients,
     handcrafted_descriptor,
     hog_descriptor,
+    image_descriptor,
     lbp_code,
     lbp_histogram,
+    write_descriptor_csv,
+)
+from microexpr.preprocess import (
+    HomomorphicParams,
+    bilinear_resize,
+    hist_equalize,
+    homomorphic_filter,
 )
 
 
@@ -315,3 +327,150 @@ class TestFeatureDescriptor:
         assert desc.segment("b").tolist() == [2.0, 3.0, 4.0]
         with pytest.raises(KeyError):
             desc.segment("c")
+
+
+def reference_lbp_histogram(px, grid_w, grid_h):
+    """Cell-by-cell LBP histograms: one bincount per cell, the remainder rows
+    and columns in the last cell."""
+    codes = _lbp_codes(px)
+
+    def bounds(extent, cells):
+        base = extent // cells
+        bounds = [(k * base, (k + 1) * base) for k in range(cells - 1)]
+        return bounds + [((cells - 1) * base, extent)]
+
+    parts = []
+    for r0, r1 in bounds(codes.shape[0], grid_h):
+        for c0, c1 in bounds(codes.shape[1], grid_w):
+            cell = codes[r0:r1, c0:c1]
+            hist = np.bincount(cell.ravel(), minlength=256).astype(np.float64)
+            if cell.size:
+                hist /= cell.size
+            parts.append(hist)
+    return np.concatenate(parts)
+
+
+def reference_hog(px, cell, bins):
+    """Cell-by-cell HOG: two bincounts per cell, then one 2x2 block at a time
+    normalized with `v @ v`."""
+    q, theta = gradient_polar(*gradients(GrayImage(px)))
+    t = theta / (np.pi / bins) - 0.5
+    lower = np.floor(t).astype(np.int64)
+    frac = t - lower
+    lower_bin, upper_bin = np.mod(lower, bins), np.mod(lower + 1, bins)
+    cells_y, cells_x = px.shape[0] // cell, px.shape[1] // cell
+    hists = np.zeros((cells_y, cells_x, bins))
+    for cy in range(cells_y):
+        for cx in range(cells_x):
+            sl = (slice(cy * cell, (cy + 1) * cell), slice(cx * cell, (cx + 1) * cell))
+            votes_lo = np.bincount(lower_bin[sl].ravel(), weights=(q[sl] * (1 - frac[sl])).ravel(),
+                                   minlength=bins)
+            votes_hi = np.bincount(upper_bin[sl].ravel(), weights=(q[sl] * frac[sl]).ravel(),
+                                   minlength=bins)
+            hists[cy, cx] = votes_lo + votes_hi
+    blocks = []
+    for by in range(cells_y - 1):
+        for bx in range(cells_x - 1):
+            v = hists[by : by + 2, bx : bx + 2].ravel()
+            blocks.append(v / math.sqrt(float(v @ v) + HOG_BLOCK_EPSILON**2))
+    return np.concatenate(blocks) if blocks else np.zeros(0)
+
+
+def reference_image_descriptor(px):
+    regions = crop_regions(GrayImage(px))
+    cfg = FeatureConfig()
+    parts = []
+    for region, grid in ((regions.eyes, cfg.eyes_lbp_grid), (regions.face, cfg.face_lbp_grid),
+                         (regions.mouth, cfg.mouth_lbp_grid)):
+        parts.append(reference_lbp_histogram(region.pixels, *grid))
+        parts.append(reference_hog(region.pixels, cfg.hog_cell, cfg.hog_bins))
+    return np.concatenate(parts)
+
+
+class TestHistogramParity:
+    """The whole-image histograms equal the cell-by-cell ones bit for bit."""
+
+    def test_hog_all_cells_and_bins_odd_sizes(self):
+        rng = np.random.default_rng(30)
+        for cell in range(3, 11):
+            for bins in range(2, 13):
+                # Sizes leave partial cells in most cases; at least 2x2 cells.
+                h, w = rng.integers(2 * cell, 5 * cell + 1, size=2)
+                px = rng.random((int(h), int(w)))
+                got = hog_descriptor(GrayImage(px), cell, bins).values
+                assert np.array_equal(got, reference_hog(px, cell, bins)), (cell, bins, px.shape)
+
+    def test_hog_quantized_pixels(self):
+        # 8-bit pixels give repeated angles and zero gradients, as loaded images do.
+        rng = np.random.default_rng(31)
+        for cell, bins in ((5, 9), (10, 9), (4, 6)):
+            px = rng.integers(0, 4, size=(43, 37)) / 3.0
+            got = hog_descriptor(GrayImage(px), cell, bins).values
+            assert np.array_equal(got, reference_hog(px, cell, bins))
+
+    def test_hog_one_cell_high_gives_no_blocks(self):
+        px = np.random.default_rng(32).random((7, 30))
+        got = hog_descriptor(GrayImage(px), 5, 9)
+        assert got.values.size == 0
+        assert got.layout == (("hog", 0, 0),)
+        assert np.array_equal(got.values, reference_hog(px, 5, 9))
+
+    def test_lbp_grids_with_empty_and_partial_cells(self):
+        rng = np.random.default_rng(33)
+        for shape, grid in (((5, 5), (4, 1)), ((5, 5), (1, 4)), ((6, 9), (8, 5)),
+                            ((9, 11), (3, 2)), ((40, 140), (4, 2)), ((23, 17), (6, 7)),
+                            ((3, 3), (2, 2)), ((200, 200), (5, 5))):
+            px = rng.random(shape)
+            got = lbp_histogram(GrayImage(px), grid[0], grid[1])
+            assert np.array_equal(got.values, reference_lbp_histogram(px, *grid)), (shape, grid)
+            assert [name for name, _, _ in got.layout] == [
+                f"cell{r}_{c}" for r in range(grid[1]) for c in range(grid[0])
+            ]
+
+    def test_image_descriptor_48x48(self):
+        rng = np.random.default_rng(34)
+        for _ in range(3):
+            px = rng.random((48, 48))
+            assert np.array_equal(image_descriptor(GrayImage(px)).values,
+                                  reference_image_descriptor(px))
+
+    def test_image_descriptor_preprocessed_256x256(self):
+        # JAFFE-sized synthetic faces after the homomorphic filter and
+        # equalization, as they are before and after the final 48x48 resize.
+        for sample in generate_synthetic(classes=2, per_class=2, size=256, seed=35)[::2]:
+            equalized = hist_equalize(homomorphic_filter(sample.image, HomomorphicParams()))
+            resized = bilinear_resize(equalized.pixels, 48, 48)
+            prepared = np.rint(np.clip(resized, 0.0, 1.0) * 255.0) / 255.0
+            for px in (equalized.pixels, prepared):
+                assert np.array_equal(image_descriptor(GrayImage(px)).values,
+                                      reference_image_descriptor(px))
+
+    def test_cached_area_weights_are_read_only(self):
+        weights = _area_weights(48, 200)
+        assert weights is _area_weights(48, 200)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+
+
+class TestDescriptorCsv:
+    def test_bytes_match_csv_writer_rows(self, tmp_path):
+        rng = np.random.default_rng(36)
+        layout = (("a", 0, 3), ("b", 3, 2))
+        rows = [rng.normal(size=5) * 10.0 ** rng.integers(-8, 8, size=5) for _ in range(3)]
+        rows.append(np.array([0.0, -0.0, 1e-300, 1.0 / 3.0, 123456789.0]))
+        rows.append(np.array([np.inf, -np.inf, np.nan, 5e-324, 1.0]))
+        rows.append(np.array([2.0, 0.5, 0.25, 0.125, 1.5]))
+        labels = ["plain", 'a"b', "überrascht", "x,y", " padded ", ""]
+        descs = [FeatureDescriptor(v, layout) for v in rows]
+        path = tmp_path / "descriptors.csv"
+        write_descriptor_csv(path, descs, labels)
+
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a.0", "a.1", "a.2", "b.0", "b.1", "label"])
+            for values, label in zip(rows, labels):
+                writer.writerow([repr(float(v)) for v in values] + [label])
+        assert path.read_bytes() == expected.read_bytes()
+        assert b'"a""b"' in path.read_bytes() and b"\r\n" in path.read_bytes()

@@ -638,6 +638,14 @@ class TestCheckpoint:
         save_checkpoint(second, load_checkpoint(first))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_non_ascii_class_name_writes_no_file(self, tmp_path):
+        arch = MlpArch(classes=2, input_dim=3, hidden_units=2)
+        model = init_model(arch, ("happy", "überrascht"), seed=0)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model)
+        assert not path.exists()
+
     def test_magic_enforced(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"WRONG\n")
