@@ -1,5 +1,14 @@
 """Micro facial expression recognition toolkit."""
 
+import os
+
+# One BLAS thread unless the environment chooses: the matmuls here are small
+# enough that a second OpenBLAS thread can stall one for milliseconds, and
+# --workers is how the CLI uses more cores.  Must run before numpy loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .dataset import (
     GrayImage,
     LabeledSample,

@@ -217,10 +217,10 @@ def cmd_preprocess(args) -> int:
     manifest = _read_manifest_file(manifest_path)
     if not manifest.entries:
         raise ConfigError("manifest has no entries")
+    params = opts.homomorphic_params()
     out = Path(opts.out)
     images_dir = out / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
-    params = opts.homomorphic_params()
 
     def process(entry):
         path, label, subject = entry
@@ -286,6 +286,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     opts = _Options(args)
+    cfg = opts.train_config()
     if opts.max_epochs < 1:
         raise ConfigError("max_epochs must be at least 1 for training")
     if opts.profile not in ("cnn-fusion", "mlp-handcrafted"):
@@ -300,10 +301,6 @@ def cmd_train(args) -> int:
     samples = _load_samples(manifest_path, manifest)
     if not samples:
         raise ConfigError("training manifest has no entries")
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = opts.train_config()
-
     # Checked even for the descriptor MLP, which pixel statistics do not touch.
     stats = load_pixel_stats(Path(args.stats)) if args.stats else None
 
@@ -318,6 +315,8 @@ def cmd_train(args) -> int:
         arch = network.MlpArch(classes=classes, input_dim=rows.shape[1],
                                dropout_p=opts.dropout_p)
     model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
+    out = Path(opts.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         if arch.kind == "fusion":
             model.pixel_stats = stats

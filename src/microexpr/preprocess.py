@@ -9,8 +9,9 @@ PixelStats, never refit.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +20,14 @@ from .dataset import GrayImage
 # Offset added before the log transform so black pixels stay finite.
 LOG_DELTA = 1.0 / 255.0
 PER_IMAGE_EPSILON = 1e-6
+
+
+def require_finite_fields(config) -> None:
+    """Refuse NaN and infinite float fields, which slip past every `x < 0`
+    style range check."""
+    for f in fields(config):
+        if f.type in ("float", float) and not math.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,7 @@ class HomomorphicParams:
     sigma_frac: float = 0.125
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.gamma_low < 0 or self.gamma_high < 0:
             raise ValueError("gains must be non-negative")
         if not 0.0 < self.sigma_frac < 1.0:
@@ -66,26 +76,26 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _blur_axis(px: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    r = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    padded = np.pad(px, pad, mode="edge")
-    out = np.zeros_like(px)
-    for t, kt in enumerate(kernel):
-        if axis == 0:
-            out += kt * padded[t : t + px.shape[0], :]
-        else:
-            out += kt * padded[:, t : t + px.shape[1]]
-    return out
+@functools.lru_cache(maxsize=16)
+def _blur_matrix(n: int, sigma: float) -> np.ndarray:
+    """(n, n) band matrix of the 1-D Gaussian with edge replication folded in,
+    M[i, clip(i + t - r, 0, n - 1)] += k[t], so the radius may pass both ends.
+    Cached, boundedly as each holds n*n floats, so the array is read-only."""
+    k = _gaussian_kernel(sigma)
+    r = len(k) // 2
+    rows = np.arange(n)[:, None]
+    m = np.zeros((n, n))
+    np.add.at(m, (rows, np.clip(rows + np.arange(len(k)) - r, 0, n - 1)), k)
+    m.flags.writeable = False
+    return m
 
 
 def gaussian_blur(px: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge replication (no dark halos at borders)."""
     if sigma <= 0:
         return px.copy()
-    k = _gaussian_kernel(sigma)
-    return _blur_axis(_blur_axis(px, k, 1), k, 0)
+    h, w = px.shape
+    return _blur_matrix(h, sigma) @ px @ _blur_matrix(w, sigma).T
 
 
 def _require_unit_range(px: np.ndarray, op: str) -> None:
@@ -101,6 +111,8 @@ def homomorphic_filter(img: GrayImage, params: HomomorphicParams) -> GrayImage:
     """
     px = img.pixels
     _require_unit_range(px, "homomorphic_filter")
+    if px.min() == px.max():  # else the rescale stretches the blur's rounding
+        return img
     log_img = np.log(px + LOG_DELTA)
     sigma = params.sigma_frac * min(img.width, img.height)
     low = gaussian_blur(log_img, sigma)

@@ -22,6 +22,7 @@ from .preprocess import (
     apply_pixel_stats,
     bilinear_resize,
     normalize_per_image,
+    require_finite_fields,
     rotate_bilinear,
 )
 from .rng import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_SHUFFLE, substream
@@ -59,6 +60,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 <= self.momentum < 1.0:

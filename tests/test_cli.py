@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import microexpr
 from microexpr import evaluation, network, training
 from microexpr.cli import (
     EXIT_OK,
@@ -444,6 +449,36 @@ class TestExitCodes:
         assert main(["predict", str(image), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--gamma-low", "--gamma-high", "--sigma-frac"])
+    def test_non_finite_preprocess_setting_refused(self, tmp_path, capsys, flag, value):
+        # The listed image does not exist: reading it would warn and exit 2.
+        manifest = tmp_path / "man.csv"
+        manifest.write_text("path,label,subject\nmissing.pgm,A,s1\n")
+        out = tmp_path / "out"
+        rc = main(["preprocess", "--manifest", str(manifest), flag, value, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "skipping" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--lr", "--lr-drop-factor", "--lambda-center",
+                                      "--loss-epsilon", "--momentum", "--alpha-center",
+                                      "--dropout-p"])
+    def test_non_finite_train_setting_refused(self, tmp_path, flag, value):
+        rng = np.random.default_rng(4)
+        rows = []
+        for i in range(4):
+            (tmp_path / f"f{i}.pgm").write_bytes(encode_pgm(GrayImage(rng.random((48, 48)))))
+            rows.append(f"f{i}.pgm,C{i % 2},s{i}")
+        manifest = tmp_path / "train.csv"
+        manifest.write_text("path,label,subject\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--train-manifest", str(manifest), "--max-epochs", "1",
+                   flag, value, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_missing_manifest_is_validation_error(self, tmp_path):
         rc = main(["eval", "--test-manifest", str(tmp_path / "nope.csv"),
                    "--checkpoint", "x", "--out", str(tmp_path)])
@@ -470,3 +505,23 @@ class TestExitCodes:
         assert "skipping" in capsys.readouterr().err
         # The good images were still processed.
         assert len(list((tmp_path / "w" / "images").glob("*.pgm"))) == 4
+
+
+class TestBlasThreads:
+    BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def thread_settings(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_ENV}
+        env.update(preset)
+        env["PYTHONPATH"] = str(Path(microexpr.__file__).parents[1])
+        code = ("import os, microexpr; "
+                f"print(','.join(os.environ[n] for n in {self.BLAS_ENV!r}))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        return done.stdout.strip()
+
+    def test_one_thread_by_default(self):
+        assert self.thread_settings() == "1,1,1"
+
+    def test_user_setting_wins(self):
+        assert self.thread_settings(OPENBLAS_NUM_THREADS="2") == "2,1,1"

@@ -13,6 +13,7 @@ from microexpr.preprocess import (
     homomorphic_filter,
     normalize_per_image,
     rotate_bilinear,
+    _blur_matrix,
     _gaussian_kernel,
 )
 
@@ -41,6 +42,20 @@ class TestGaussianBlur:
     def test_constant_is_fixed_point(self):
         px = np.full((9, 9), 0.37)
         assert np.allclose(gaussian_blur(px, 2.0), px, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, sigma", [
+        ((17, 40), 2.125), ((40, 17), 2.125), ((5, 7), 3.0), ((1, 9), 1.3), ((9, 1), 1.3),
+    ], ids=["wide", "tall", "radius-past-side", "one-row", "one-column"])
+    def test_band_matrices_match_2d_oracle(self, shape, sigma):
+        # Unequal sides give different row and column matrices, and a radius
+        # at or above the side folds several taps onto the same edge pixel.
+        px = np.random.default_rng(12).random(shape)
+        assert np.abs(gaussian_blur(px, sigma) - brute_force_blur(px, sigma)).max() < 1e-10
+
+    def test_band_matrix_is_cached_and_read_only(self):
+        m = _blur_matrix(17, 2.125)
+        assert _blur_matrix(17, 2.125) is m
+        assert not m.flags.writeable
 
 
 class TestHomomorphicFilter:
