@@ -213,6 +213,9 @@ def _preprocess_one(img: GrayImage, params: preprocess.HomomorphicParams) -> Gra
 
 def cmd_preprocess(args) -> int:
     opts = _Options(args)
+    # NaN fails the comparison too; checked before any image is read.
+    if not 0.0 < opts.split_fraction < 1.0:
+        raise ConfigError(f"split_fraction must lie in (0, 1), got {opts.split_fraction}")
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
     if not manifest.entries:
@@ -349,8 +352,9 @@ def _predict(model, images, mode, gallery_manifest) -> list[tuple[int, float]]:
         if not gallery_manifest:
             raise ConfigError("nearest-feature mode needs --gallery-manifest")
         gpath = Path(gallery_manifest)
-        gallery = [(evaluation.extract_features(model, g.image), g.label)
-                   for g in _load_samples(gpath, _read_manifest_file(gpath))]
+        samples = _load_samples(gpath, _read_manifest_file(gpath))
+        gallery = evaluation.build_gallery(model, [s.image for s in samples],
+                                           [s.label for s in samples])
         return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
     raise ConfigError(f"unknown inference mode {mode!r}")
 

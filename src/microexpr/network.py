@@ -29,8 +29,12 @@ TENSOR_MAGIC = b"MFETENSOR1\n"
 # (dout, cache) and returns dx plus parameter gradients where applicable.
 
 
-def dense_forward(x, w, b):
-    return x @ w + b, (x, w)
+def dense_forward(x, w, b, rowwise=False):
+    """x @ w + b.  A gemm rounds a row differently at different batch sizes;
+    rowwise computes each row as its own vector-matrix product, the product
+    a batch of one gets, so a row's result does not depend on its batch."""
+    out = (x[:, None, :] @ w)[:, 0] if rowwise else x @ w
+    return out + b, (x, w)
 
 
 def dense_backward(dout, cache):
@@ -331,7 +335,7 @@ def model_dtype(model: ModelState):
 # Forward / backward
 
 
-def _branch_forward(x2d, params, prefix):
+def _branch_forward(x2d, params, prefix, rowwise):
     # Each stage pools before its relu: relu is monotone, so it commutes with
     # max (ties included), and runs on a quarter of the elements.
     x = x2d[:, None, :, :]
@@ -342,7 +346,7 @@ def _branch_forward(x2d, params, prefix):
     p2, pc2 = maxpool2_forward(c2)
     r2, mask2 = relu_forward(p2)
     flat, flat_shape = flatten_forward(r2)
-    d, dc = dense_forward(flat, params[f"{prefix}.fc.w"], params[f"{prefix}.fc.b"])
+    d, dc = dense_forward(flat, params[f"{prefix}.fc.w"], params[f"{prefix}.fc.b"], rowwise)
     act, mask3 = relu_forward(d)
     cache = (cc1, pc1, mask1, cc2, pc2, mask2, flat_shape, dc, mask3)
     return act, cache
@@ -367,13 +371,17 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
     descriptor rows.  Returns (logits, features, cache); features is the
     fused vector the center loss and nearest-feature prediction operate on.
     Train mode applies inverted dropout and needs an rng; eval mode is
-    deterministic.
+    deterministic.  Mode "eval-rowwise" is eval with every dense layer run
+    row by row: convolutions are per-item matmuls and pooling and relu are
+    elementwise, so an item's outputs are then the same bits at every batch
+    size, equal to its batch-1 eval forward.
     """
-    if mode not in ("train", "eval"):
+    if mode not in ("train", "eval", "eval-rowwise"):
         raise ValueError(f"unknown mode {mode!r}")
     arch = model.arch
     params = model.params
     train = mode == "train"
+    rowwise = mode == "eval-rowwise"
     if train and arch.dropout_p > 0.0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
 
@@ -383,27 +391,27 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
             raise ValueError(f"batch shape {batch.shape}, expected {expected}")
         eyes = batch[:, : arch.crop_rows, :]
         mouth = batch[:, -arch.crop_rows :, :]
-        eyes_act, eyes_cache = _branch_forward(eyes, params, "eyes")
-        face_act, face_cache = _branch_forward(batch, params, "face")
-        mouth_act, mouth_cache = _branch_forward(mouth, params, "mouth")
+        eyes_act, eyes_cache = _branch_forward(eyes, params, "eyes", rowwise)
+        face_act, face_cache = _branch_forward(batch, params, "face", rowwise)
+        mouth_act, mouth_cache = _branch_forward(mouth, params, "mouth", rowwise)
 
         a1, split1 = concat_forward(eyes_act, face_act)
-        f1, f1_dense = dense_forward(a1, params["fuse1.w"], params["fuse1.b"])
+        f1, f1_dense = dense_forward(a1, params["fuse1.w"], params["fuse1.b"], rowwise)
         p1, f1_mask = relu_forward(f1)
         a2, split2 = concat_forward(p1, mouth_act)
-        f2, f2_dense = dense_forward(a2, params["fuse2.w"], params["fuse2.b"])
+        f2, f2_dense = dense_forward(a2, params["fuse2.w"], params["fuse2.b"], rowwise)
         features, f2_mask = relu_forward(f2)
     else:
         if batch.ndim != 2 or batch.shape[1] != arch.input_dim:
             raise ValueError(f"batch shape {batch.shape}, expected (B, {arch.input_dim})")
-        h, h_dense = dense_forward(batch, params["hidden.w"], params["hidden.b"])
+        h, h_dense = dense_forward(batch, params["hidden.w"], params["hidden.b"], rowwise)
         features, h_mask = relu_forward(h)
 
     if train:
         dropped, drop_cache = dropout_forward(features, arch.dropout_p, rng)
     else:
         dropped, drop_cache = features, None
-    logits, head_dense = dense_forward(dropped, params["head.w"], params["head.b"])
+    logits, head_dense = dense_forward(dropped, params["head.w"], params["head.b"], rowwise)
 
     if arch.kind == "fusion":
         cache = {
@@ -535,7 +543,8 @@ def save_checkpoint(path, model: ModelState) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    """Read a save_checkpoint file; a malformed one raises ValueError."""
+    """Read a save_checkpoint file; a malformed one, or one with a non-finite
+    parameter or center, raises ValueError."""
     meta, tensors = _read_tensors(path, 2)
     if len(meta) != 2 or not meta[1].startswith("classes "):
         raise ValueError(f"{path}: checkpoint header must be an arch line and a classes line")
@@ -546,6 +555,11 @@ def load_checkpoint(path) -> ModelState:
     params = {name: _take(path, tensors, f"param:{name}", shape)
               for name, shape, _ in arch.param_shapes()}
     centers = _take(path, tensors, "centers", (arch.classes, arch.feature_dim))
+    named = [(f"param:{name}", tensor) for name, tensor in params.items()]
+    for name, tensor in named + [("centers", centers)]:
+        # min and max carry any NaN or infinity and allocate nothing.
+        if not np.isfinite([tensor.min(), tensor.max()]).all():
+            raise ValueError(f"{path}: tensor {name} holds non-finite values")
     stats = _stats_from_tensors(path, tensors) if "pixel_stats.mean" in tensors else None
     if tensors:
         raise ValueError(f"{path}: checkpoint has unexpected tensors {sorted(tensors)}")

@@ -24,6 +24,7 @@ from microexpr.dataset import (
 )
 from microexpr.evaluation import (
     ConfusionMatrix,
+    build_gallery,
     extract_features,
     mae,
     metrics,
@@ -473,14 +474,13 @@ def test_nearest_feature_mode():
         model = init_model(arch, ("p", "q", "r"), seed=6)
         rng = np.random.default_rng(7)
         gallery_labels = [int(rng.integers(0, 3)) for _ in range(8)]
-        gallery = [
-            (extract_features(model, GrayImage(rng.random((48, 48)))), lab)
-            for lab in gallery_labels
-        ]
+        gallery = build_gallery(
+            model, [GrayImage(rng.random((48, 48))) for _ in gallery_labels], gallery_labels
+        )
         for _ in range(100):
             probe = GrayImage(rng.random((48, 48)))
             feat = extract_features(model, probe)
-            scan = [float(np.sqrt(((feat - g) ** 2).sum())) for g, _ in gallery]
+            scan = [float(np.sqrt(((feat - g) ** 2).sum())) for g in gallery[0]]
             expected = gallery_labels[int(np.argmin(scan))]
             got, dist = nearest_feature_predict(model, probe, gallery)
             assert got == expected

@@ -272,6 +272,22 @@ class TestPipeline:
         assert label == first_row[1]
         assert float(dist) == 0.0
 
+    def test_predict_nearest_feature_past_first_gallery_chunk(self, tmp_path, capsys):
+        ckpt, _ = untrained_model(tmp_path)
+        rng = np.random.default_rng(5)
+        n = evaluation.GALLERY_CHUNK + 8
+        rows = []
+        for i in range(n):
+            (tmp_path / f"g{i}.pgm").write_bytes(encode_pgm(GrayImage(rng.random((48, 48)))))
+            rows.append(f"g{i}.pgm,C{i % 2},s{i}")
+        gallery = tmp_path / "gallery.csv"
+        gallery.write_text("# classes: C0,C1\npath,label,subject\n" + "\n".join(rows) + "\n")
+        k = evaluation.GALLERY_CHUNK + 5
+        assert main(["predict", str(tmp_path / f"g{k}.pgm"), "--checkpoint", str(ckpt),
+                     "--inference-mode", "nearest-feature",
+                     "--gallery-manifest", str(gallery)]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == f"C{k % 2} 0.000000"
+
     def test_eval_nearest_feature_mode(self, tmp_path):
         run = run_pipeline(tmp_path)
         work = tmp_path / "work"
@@ -448,6 +464,41 @@ class TestExitCodes:
         ckpt.write_bytes(corrupt(ckpt.read_bytes()))
         assert main(["predict", str(image), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval-multicrop", "eval-nearest", "predict"])
+    def test_non_finite_checkpoint_is_validation_error(self, tmp_path, capsys, command):
+        ckpt, image = untrained_model(tmp_path)
+        model = load_checkpoint(ckpt)
+        model.params["fuse2.b"][3] = np.nan
+        save_checkpoint(ckpt, model)
+        manifest = tmp_path / "test.csv"
+        manifest.write_text("# classes: C0,C1\npath,label,subject\nface.pgm,C0,s1\n")
+        out = tmp_path / "out"
+        if command == "predict":
+            argv = ["predict", str(image), "--checkpoint", str(ckpt)]
+        else:
+            argv = ["eval", "--test-manifest", str(manifest), "--checkpoint", str(ckpt),
+                    "--out", str(out)]
+            if command == "eval-nearest":
+                argv += ["--inference-mode", "nearest-feature",
+                         "--gallery-manifest", str(manifest)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "tensor param:fuse2.b holds non-finite values" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+    def test_bad_split_fraction_refused_before_any_image(self, tmp_path, capsys, value):
+        # The listed image does not exist: reading it would warn and exit 2.
+        manifest = tmp_path / "man.csv"
+        manifest.write_text("path,label,subject\nmissing.pgm,A,s1\n")
+        out = tmp_path / "out"
+        rc = main(["preprocess", "--manifest", str(manifest), "--split-fraction", value,
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "split_fraction must lie in (0, 1)" in err and "skipping" not in err
+        assert not (out / "images").exists()
+        assert not (out / "manifest.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--gamma-low", "--gamma-high", "--sigma-frac"])

@@ -5,7 +5,9 @@ import pytest
 
 from microexpr.dataset import GrayImage, Manifest, ManifestError
 from microexpr.evaluation import (
+    GALLERY_CHUNK,
     ConfusionMatrix,
+    build_gallery,
     build_report,
     confusion,
     confusion_to_csv,
@@ -203,7 +205,7 @@ class TestNearestFeature:
         model = fusion_model(seed=10)
         rng = np.random.default_rng(11)
         imgs = [GrayImage(rng.random((48, 48))) for _ in range(4)]
-        gallery = [(extract_features(model, img), k) for k, img in enumerate(imgs)]
+        gallery = build_gallery(model, imgs, range(4))
         label, dist = nearest_feature_predict(model, imgs[2], gallery)
         assert label == 2
         assert dist == 0.0
@@ -211,7 +213,7 @@ class TestNearestFeature:
     def test_single_entry_gallery(self):
         model = fusion_model(seed=12)
         rng = np.random.default_rng(13)
-        gallery = [(extract_features(model, GrayImage(rng.random((48, 48)))), 5)]
+        gallery = build_gallery(model, [GrayImage(rng.random((48, 48)))], [5])
         label, _ = nearest_feature_predict(model, GrayImage(rng.random((48, 48))), gallery)
         assert label == 5
 
@@ -220,13 +222,11 @@ class TestNearestFeature:
         rng = np.random.default_rng(15)
         gallery_imgs = [GrayImage(rng.random((48, 48))) for _ in range(5)]
         labels = [int(rng.integers(0, 3)) for _ in range(5)]
-        gallery = [
-            (extract_features(model, img), lab) for img, lab in zip(gallery_imgs, labels)
-        ]
+        gallery = build_gallery(model, gallery_imgs, labels)
         for _ in range(30):
             probe = GrayImage(rng.random((48, 48)))
             feat = extract_features(model, probe)
-            dists = [float(np.sqrt(((feat - g) ** 2).sum())) for g, _ in gallery]
+            dists = [float(np.sqrt(((feat - g) ** 2).sum())) for g in gallery[0]]
             expected = labels[int(np.argmin(dists))]
             got, _ = nearest_feature_predict(model, probe, gallery)
             assert got == expected
@@ -234,13 +234,76 @@ class TestNearestFeature:
     def test_empty_gallery_rejected(self):
         model = fusion_model()
         with pytest.raises(ValueError, match="empty"):
-            nearest_feature_predict(model, GrayImage(np.zeros((48, 48))), [])
+            nearest_feature_predict(model, GrayImage(np.zeros((48, 48))),
+                                    build_gallery(model, [], []))
 
     def test_dimension_mismatch_rejected(self):
         model = fusion_model(seed=16)
-        bad_gallery = [(np.zeros(5), 0)]
+        bad_gallery = (np.zeros((1, 5)), np.array([0]))
         with pytest.raises(ValueError, match="dimension"):
             nearest_feature_predict(model, GrayImage(np.zeros((48, 48))), bad_gallery)
+
+
+class TestGallery:
+    """build_gallery's matrix against per-image extract_features, and the
+    distances nearest_feature_predict takes from it."""
+
+    @pytest.mark.parametrize("n", [1, GALLERY_CHUNK - 1, GALLERY_CHUNK, GALLERY_CHUNK + 1,
+                                   2 * GALLERY_CHUNK + 3])
+    def test_matrix_is_stacked_extract_features(self, n):
+        model = init_model(FusionArch(classes=3), CLASS3, seed=20, dtype=np.float32)
+        rng = np.random.default_rng(21)
+        imgs = [GrayImage(rng.random((48, 48))) for _ in range(n)]
+        labels = rng.integers(0, 3, size=n)
+        features, got_labels = build_gallery(model, imgs, labels)
+        assert features.shape == (n, model.arch.feature_dim)
+        assert np.array_equal(features, np.stack([extract_features(model, img) for img in imgs]))
+        assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
+
+    def test_descriptor_model_matrix_is_stacked_extract_features(self):
+        from microexpr.features import image_descriptor
+
+        rng = np.random.default_rng(22)
+        imgs = [GrayImage(rng.random((48, 48))) for _ in range(GALLERY_CHUNK + 1)]
+        arch = MlpArch(classes=3, input_dim=image_descriptor(imgs[0]).values.size,
+                       hidden_units=16)
+        model = init_model(arch, CLASS3, seed=23, dtype=np.float32)
+        features, _ = build_gallery(model, imgs, [0] * len(imgs))
+        assert np.array_equal(features, np.stack([extract_features(model, img) for img in imgs]))
+
+    def test_label_count_must_match(self):
+        model = fusion_model(seed=24)
+        with pytest.raises(ValueError, match="one gallery label per"):
+            build_gallery(model, [GrayImage(np.zeros((48, 48)))], [0, 1])
+
+    def test_distance_is_linalg_norm_and_duplicates_tie_to_lowest_index(self):
+        model = init_model(FusionArch(classes=3), CLASS3, seed=25, dtype=np.float32)
+        rng = np.random.default_rng(26)
+        imgs = [GrayImage(rng.random((48, 48))) for _ in range(6)]
+        features, labels = build_gallery(model, imgs, [0, 1, 2, 0, 1, 2])
+        # Rows 6-11 repeat rows 0-5 under other labels; the first copy wins.
+        gallery = (np.concatenate([features, features]),
+                   np.concatenate([labels, (labels + 1) % 3]))
+        probes = imgs + [GrayImage(rng.random((48, 48))) for _ in range(10)]
+        for probe in probes:
+            feat = extract_features(model, probe)
+            norms = [float(np.linalg.norm(feat - g)) for g in gallery[0]]
+            label, dist = nearest_feature_predict(model, probe, gallery)
+            assert dist == min(norms)
+            assert label == gallery[1][norms.index(min(norms))]
+            assert norms.index(min(norms)) < 6
+            for k, g in enumerate(gallery[0]):
+                _, single = nearest_feature_predict(model, probe, (g[None], labels[:1]))
+                assert single == norms[k]
+        for k, img in enumerate(imgs):
+            assert nearest_feature_predict(model, img, gallery) == (labels[k], 0.0)
+
+    def test_non_finite_distance_raises(self):
+        model = fusion_model(seed=27)
+        features, labels = build_gallery(model, [GrayImage(np.zeros((48, 48)))] * 2, [0, 1])
+        features[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            nearest_feature_predict(model, GrayImage(np.zeros((48, 48))), (features, labels))
 
 
 class TestSinglePredictMlp:

@@ -173,6 +173,43 @@ class TestForwardContract:
             forward(model, np.zeros((2, 12, 12)), "eval")
 
 
+class TestRowwiseEval:
+    """An eval-rowwise forward gives each item the bits of its batch-1 eval
+    forward; a plain eval forward of the batch is one gemm per dense layer."""
+
+    @pytest.mark.parametrize("kind", ["fusion", "mlp"])
+    def test_batch_of_seven_equals_seven_batch_one_forwards(self, kind):
+        rng = np.random.default_rng(43)
+        if kind == "fusion":
+            arch = FusionArch(classes=7)
+            batch = rng.random((7, 42, 42)).astype(np.float32)
+        else:
+            arch = MlpArch(classes=7, input_dim=3000, hidden_units=64)
+            batch = rng.random((7, 3000)).astype(np.float32)
+        model = init_model(arch, tuple("abcdefg"), seed=44, dtype=np.float32)
+        for name in model.params:
+            if name.endswith(".b"):
+                model.params[name] += rng.normal(0.0, 0.05, size=model.params[name].shape)
+        logits, features, _ = forward(model, batch, "eval-rowwise")
+        singles = [forward(model, batch[i : i + 1], "eval") for i in range(7)]
+        assert logits.dtype == features.dtype == np.float32
+        assert np.array_equal(logits, np.concatenate([one[0] for one in singles]))
+        assert np.array_equal(features, np.concatenate([one[1] for one in singles]))
+        assert np.abs(features).max() > 0.0
+        gemm_logits, gemm_features, _ = forward(model, batch, "eval")
+        assert np.allclose(logits, gemm_logits, rtol=1e-5, atol=1e-5)
+        assert np.allclose(features, gemm_features, rtol=1e-5, atol=1e-5)
+
+    def test_rowwise_dense_rows_equal_single_row_products(self):
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(9, 300)).astype(np.float32)
+        w = rng.normal(size=(300, 40)).astype(np.float32)
+        b = rng.normal(size=40).astype(np.float32)
+        out, _ = dense_forward(x, w, b, rowwise=True)
+        assert np.array_equal(out, np.concatenate([dense_forward(x[i : i + 1], w, b)[0]
+                                                   for i in range(9)]))
+
+
 class TestLayerGradients:
     """Analytic vs central finite differences, 20 random instances per kind."""
 
@@ -518,8 +555,10 @@ def reference_unpool(dout, arg, shape):
     return dx
 
 
-def reference_branch_forward(x2d, params, prefix):
-    """conv -> relu -> pool twice, then fc -> relu, from the reference kernels."""
+def reference_branch_forward(x2d, params, prefix, rowwise=False):
+    """conv -> relu -> pool twice, then fc -> relu, from the reference kernels.
+    The fc is one product in both modes: eval mode's row-by-row dense
+    (rowwise) changes only its rounding."""
     x = x2d[:, None, :, :]
     h1 = reference_conv(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
     p1, arg1 = reference_pool(np.maximum(h1, 0.0))
@@ -637,6 +676,18 @@ class TestCheckpoint:
         save_checkpoint(first, model)
         save_checkpoint(second, load_checkpoint(first))
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("tensor,value", [("fuse2.b", np.nan), ("head.w", -np.inf),
+                                              ("centers", np.inf)])
+    def test_non_finite_tensor_refused(self, tmp_path, tensor, value):
+        model = self._model()
+        target = model.centers if tensor == "centers" else model.params[tensor]
+        target.flat[target.size // 2] = value
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, model)
+        name = tensor if tensor == "centers" else f"param:{tensor}"
+        with pytest.raises(ValueError, match=f"tensor {name} holds non-finite values"):
+            load_checkpoint(path)
 
     def test_non_ascii_class_name_writes_no_file(self, tmp_path):
         arch = MlpArch(classes=2, input_dim=3, hidden_units=2)
