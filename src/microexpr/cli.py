@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -106,26 +107,10 @@ class _Options:
             return resolve_option(name, getattr(self._args, name, None), self._file_values)
         return getattr(self._args, name)
 
-    def train_config(self) -> training.TrainConfig:
-        return training.TrainConfig(
-            batch_size=self.batch_size,
-            momentum=self.momentum,
-            lr=self.lr,
-            lr_drop_factor=self.lr_drop_factor,
-            plateau_patience=self.plateau_patience,
-            max_epochs=self.max_epochs,
-            lambda_center=self.lambda_center,
-            alpha_center=self.alpha_center,
-            loss_epsilon=self.loss_epsilon,
-            seed=self.seed,
-        )
-
-    def homomorphic_params(self) -> preprocess.HomomorphicParams:
-        return preprocess.HomomorphicParams(
-            gamma_low=self.gamma_low,
-            gamma_high=self.gamma_high,
-            sigma_frac=self.sigma_frac,
-        )
+    def build(self, settings_class):
+        """A settings dataclass filled from this invocation's resolved options."""
+        return settings_class(**{f.name: getattr(self, f.name)
+                                 for f in dataclasses.fields(settings_class)})
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +205,7 @@ def cmd_preprocess(args) -> int:
     manifest = _read_manifest_file(manifest_path)
     if not manifest.entries:
         raise ConfigError("manifest has no entries")
-    params = opts.homomorphic_params()
+    params = opts.build(preprocess.HomomorphicParams)
     out = Path(opts.out)
     images_dir = out / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +274,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     opts = _Options(args)
-    cfg = opts.train_config()
+    cfg = opts.build(training.TrainConfig)
     if opts.max_epochs < 1:
         raise ConfigError("max_epochs must be at least 1 for training")
     if opts.profile not in ("cnn-fusion", "mlp-handcrafted"):
@@ -342,6 +327,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _require_classes(model, manifest: Manifest, what: str) -> None:
+    # A manifest label indexes the manifest's own class list.
+    if model.class_names != manifest.class_names:
+        raise ValueError(f"checkpoint classes {model.class_names} != {what} classes "
+                         f"{manifest.class_names}")
+
+
 def _predict(model, images, mode, gallery_manifest) -> list[tuple[int, float]]:
     """(label, score) per image: the label's softmax probability in multicrop
     mode, the distance to the nearest gallery entry in nearest-feature mode."""
@@ -352,7 +344,9 @@ def _predict(model, images, mode, gallery_manifest) -> list[tuple[int, float]]:
         if not gallery_manifest:
             raise ConfigError("nearest-feature mode needs --gallery-manifest")
         gpath = Path(gallery_manifest)
-        samples = _load_samples(gpath, _read_manifest_file(gpath))
+        gallery_entries = _read_manifest_file(gpath)
+        _require_classes(model, gallery_entries, "gallery manifest")
+        samples = _load_samples(gpath, gallery_entries)
         gallery = evaluation.build_gallery(model, [s.image for s in samples],
                                            [s.label for s in samples])
         return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
@@ -363,8 +357,6 @@ def cmd_eval(args) -> int:
     opts = _Options(args)
     manifest_path = Path(args.test_manifest)
     manifest = _read_manifest_file(manifest_path)
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.predictions:
         pred_rows = {}
@@ -383,10 +375,7 @@ def cmd_eval(args) -> int:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --predictions")
         model = network.load_checkpoint(Path(args.checkpoint))
-        if model.class_names != manifest.class_names:
-            raise ValueError(
-                f"checkpoint classes {model.class_names} != manifest classes {manifest.class_names}"
-            )
+        _require_classes(model, manifest, "manifest")
         samples = _load_samples(manifest_path, manifest)
         true = np.array([s.label for s in samples], dtype=np.int64)
         predictions = _predict(model, [s.image for s in samples], opts.inference_mode,
@@ -400,6 +389,9 @@ def cmd_eval(args) -> int:
         "inference_mode": inference_mode,
     }
     report, cm = evaluation.build_report(true, pred, manifest.class_names)
+    # Made only now, so a refused checkpoint or gallery leaves no directory.
+    out = Path(opts.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(evaluation.report_to_json(report, protocol))
     (out / "confusion.csv").write_text(evaluation.confusion_to_csv(cm, manifest.class_names))
     print(f"protocol: {protocol}")

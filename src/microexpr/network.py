@@ -37,9 +37,10 @@ def dense_forward(x, w, b, rowwise=False):
     return out + b, (x, w)
 
 
-def dense_backward(dout, cache):
+def dense_backward(dout, cache, input_grad=True):
+    """Returns (dx, dw, db); dx is None when input_grad is false."""
     x, w = cache
-    return dout @ w.T, x.T @ dout, dout.sum(axis=0)
+    return dout @ w.T if input_grad else None, x.T @ dout, dout.sum(axis=0)
 
 
 def conv2d_forward(x, w, b):
@@ -299,16 +300,17 @@ def _arch_from_description(line: str):
 
 @dataclass
 class ModelState:
+    """Parameters, class centers and pixel statistics; no optimizer state."""
+
     arch: FusionArch | MlpArch
     params: dict[str, np.ndarray]
-    momentum: dict[str, np.ndarray]
     centers: np.ndarray
     class_names: tuple[str, ...]
     pixel_stats: PixelStats | None = None
 
 
 def init_model(arch, class_names, seed: int, dtype=np.float64) -> ModelState:
-    """He-initialized weights, zero biases, zero momentum, zero centers.
+    """He-initialized weights, zero biases, zero centers.
 
     dtype float32 trains about 1.8 times faster; gradient verification wants
     the float64 default."""
@@ -316,15 +318,13 @@ def init_model(arch, class_names, seed: int, dtype=np.float64) -> ModelState:
         raise ValueError("class_names length must match arch.classes")
     rng = substream(seed, STREAM_INIT)
     params: dict[str, np.ndarray] = {}
-    momentum: dict[str, np.ndarray] = {}
     for name, shape, fan_in in arch.param_shapes():
         if name.endswith(".b"):
             params[name] = np.zeros(shape, dtype=dtype)
         else:
             params[name] = rng.normal(0.0, he_std(fan_in), size=shape).astype(dtype)
-        momentum[name] = np.zeros(shape, dtype=dtype)
     centers = np.zeros((arch.classes, arch.feature_dim), dtype=dtype)
-    return ModelState(arch, params, momentum, centers, tuple(class_names))
+    return ModelState(arch, params, centers, tuple(class_names))
 
 
 def model_dtype(model: ModelState):
@@ -450,7 +450,7 @@ def backward(model: ModelState, cache, dlogits: np.ndarray, dfeatures: np.ndarra
     else:
         h_dense, h_mask = cache["hidden"]
         dh = relu_backward(dfeat, h_mask)
-        _, grads["hidden.w"], grads["hidden.b"] = dense_backward(dh, h_dense)
+        _, grads["hidden.w"], grads["hidden.b"] = dense_backward(dh, h_dense, input_grad=False)
     return grads
 
 
@@ -532,8 +532,8 @@ def _stats_from_tensors(path, tensors: dict[str, np.ndarray]) -> PixelStats:
 
 def save_checkpoint(path, model: ModelState) -> None:
     """Write the arch, class names, parameters, class centers and pixel
-    statistics.  Payloads are float32, so a float64 model reloads as float32.
-    Momentum is not written: load_checkpoint gives zero buffers."""
+    statistics, which is all a ModelState holds: a checkpoint resumes no
+    optimizer state.  Payloads are float32, so float64 reloads as float32."""
     entries = [(f"param:{name}", tensor) for name, tensor in model.params.items()]
     entries.append(("centers", model.centers))
     if model.pixel_stats is not None:
@@ -563,8 +563,7 @@ def load_checkpoint(path) -> ModelState:
     stats = _stats_from_tensors(path, tensors) if "pixel_stats.mean" in tensors else None
     if tensors:
         raise ValueError(f"{path}: checkpoint has unexpected tensors {sorted(tensors)}")
-    momentum = {name: np.zeros_like(tensor) for name, tensor in params.items()}
-    return ModelState(arch, params, momentum, centers, class_names, stats)
+    return ModelState(arch, params, centers, class_names, stats)
 
 
 def save_pixel_stats(path, stats: PixelStats) -> None:

@@ -1,6 +1,9 @@
 """Training recipe: augmentation, joint cross-entropy + center loss, SGD with
 momentum, plateau learning-rate schedule, and head-only fine-tuning.
 
+Optimizer state lives only inside one train or train_on_rows call, whose
+velocity starts at zero: neither ModelState nor a checkpoint holds it.
+
 Determinism: shuffling, per-sample augmentation and dropout each draw from
 named substreams of the run seed.  A sample's augmentation stream is keyed by
 epoch * dataset_size + original index, so batch order and worker parallelism
@@ -36,6 +39,10 @@ AUGMENT_MAX_ANGLE = 45.0
 # epoch loss; the learning rate is dropped at most MAX_LR_DROPS times.
 PLATEAU_MIN_IMPROVEMENT = 1e-4
 MAX_LR_DROPS = 5
+
+# sgd_momentum_step's block: 256 KB of float32, so a block of velocity,
+# gradient and parameters stays in cache across the operations on it.
+SGD_BLOCK = 1 << 16
 
 
 class NonFiniteLossError(RuntimeError):
@@ -195,22 +202,30 @@ def update_centers(
 
 def sgd_momentum_step(
     params: dict[str, np.ndarray],
-    momentum_buf: dict[str, np.ndarray],
+    velocity: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     lr: float,
     mu: float,
     trainable: set[str] | None = None,
 ) -> None:
-    """Heavy-ball update in place: v <- mu*v + g; p <- p - lr*v."""
+    """Heavy-ball update in place: v <- mu*v + g; p <- p - lr*v.
+
+    Walks each C-contiguous tensor in SGD_BLOCK-element blocks through one
+    block-sized scratch array and leaves grads untouched.  A block is checked
+    finite before it is applied, so the raise can leave the named tensor
+    partly updated; the epoch rollback in train restores it."""
     for name, grad in grads.items():
         if trainable is not None and name not in trainable:
             continue
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteLossError(f"non-finite gradient in {name}")
-        buf = momentum_buf[name]
-        buf *= mu
-        buf += grad
-        params[name] -= lr * buf
+        p, v, g = params[name].reshape(-1), velocity[name].reshape(-1), grad.reshape(-1)
+        scratch = np.empty(min(v.size, SGD_BLOCK), dtype=v.dtype)
+        for start in range(0, v.size, SGD_BLOCK):
+            g_blk, v_blk = g[start : start + SGD_BLOCK], v[start : start + SGD_BLOCK]
+            if not np.isfinite(g_blk).all():
+                raise NonFiniteLossError(f"non-finite gradient in {name}")
+            v_blk *= mu
+            v_blk += g_blk
+            p[start : start + SGD_BLOCK] -= np.multiply(v_blk, lr, out=scratch[: v_blk.size])
 
 
 def lr_schedule(log: TrainLog, cfg: TrainConfig) -> float:
@@ -256,22 +271,6 @@ def model_input(model: ModelState, img: GrayImage) -> np.ndarray:
     return image_descriptor(img).values
 
 
-def _snapshot(model: ModelState):
-    return (
-        {k: v.copy() for k, v in model.params.items()},
-        {k: v.copy() for k, v in model.momentum.items()},
-        model.centers.copy(),
-    )
-
-
-def _restore(model: ModelState, snap) -> None:
-    params, momentum, centers = snap
-    for k in model.params:
-        model.params[k][...] = params[k]
-        model.momentum[k][...] = momentum[k]
-    model.centers = centers
-
-
 def _run_epochs(model, make_batch, labels, cfg, trainable,
                 checkpoint_every=0, checkpoint_dir=None) -> TrainLog:
     """Shared epoch loop: shuffle, batch, joint loss, SGD step, center update.
@@ -281,10 +280,18 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
     n = len(labels)
     eye = np.eye(model.arch.classes, dtype=model_dtype(model))
     log = TrainLog()
+    # Frozen tensors never change, so they get no velocity and no snapshot;
+    # the rollback snapshot reuses its buffers every epoch.
+    velocity = {k: np.zeros_like(p) for k, p in model.params.items()
+                if trainable is None or k in trainable}
+    saved = {k: np.empty_like(v) for k, v in velocity.items()}
+    saved_centers = np.empty_like(model.centers)
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
-        snap = _snapshot(model)
+        for k, buf in saved.items():
+            np.copyto(buf, model.params[k])
+        np.copyto(saved_centers, model.centers)
         lr = lr_schedule(log, cfg)
         order = substream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
 
@@ -308,7 +315,7 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
                     model, cache, cross_entropy_grad_logits(probs, onehot),
                     cfg.lambda_center * dfeat,
                 )
-                sgd_momentum_step(model.params, model.momentum, grads, lr, cfg.momentum, trainable)
+                sgd_momentum_step(model.params, velocity, grads, lr, cfg.momentum, trainable)
                 model.centers = update_centers(
                     model.centers, feats, labels[idx], cfg.alpha_center
                 )
@@ -316,7 +323,9 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
                 ce_sum += ce * len(idx)
                 center_sum += c_loss * len(idx)
         except NonFiniteLossError as err:
-            _restore(model, snap)
+            for k, buf in saved.items():
+                np.copyto(model.params[k], buf)
+            model.centers = saved_centers
             err.log = log
             raise
 

@@ -486,6 +486,47 @@ class TestExitCodes:
         assert "tensor param:fuse2.b holds non-finite values" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    def test_eval_refused_checkpoint_leaves_no_out_directory(self, tmp_path, capsys):
+        ckpt, image = untrained_model(tmp_path)
+        model = load_checkpoint(ckpt)
+        model.params["fuse2.b"][0] = np.nan
+        save_checkpoint(ckpt, model)
+        manifest = tmp_path / "test.csv"
+        manifest.write_text(f"# classes: C0,C1\npath,label,subject\n{image.name},C0,s1\n")
+        out = tmp_path / "out"
+        assert main(["eval", "--test-manifest", str(manifest), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("gallery_classes", ["C1,C0", "X,Y"], ids=["reordered", "foreign"])
+    def test_gallery_classes_must_match_checkpoint(self, tmp_path, capsys, monkeypatch,
+                                                   command, gallery_classes):
+        ckpt, image = untrained_model(tmp_path)
+        test = tmp_path / "test.csv"
+        test.write_text(f"# classes: C0,C1\npath,label,subject\n{image.name},C0,s1\n")
+        first = gallery_classes.split(",")[0]
+        gallery = tmp_path / "gallery.csv"
+        gallery.write_text(f"# classes: {gallery_classes}\npath,label,subject\n"
+                           f"{image.name},{first},s1\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gallery image was forwarded")
+
+        monkeypatch.setattr(evaluation, "build_gallery", forbidden)
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--test-manifest", str(test), "--out", str(out)]
+        else:
+            argv = ["predict", str(image)]
+        argv += ["--checkpoint", str(ckpt), "--inference-mode", "nearest-feature",
+                 "--gallery-manifest", str(gallery)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "checkpoint classes ('C0', 'C1') != gallery manifest classes" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["1.5", "0", "nan"])
     def test_bad_split_fraction_refused_before_any_image(self, tmp_path, capsys, value):
         # The listed image does not exist: reading it would warn and exit 2.

@@ -110,7 +110,8 @@ class TestInitModel:
 
     def test_momentum_and_centers_zero(self):
         model = init_model(FusionArch(**TINY), CLASS3, seed=1)
-        assert all(np.all(m == 0) for m in model.momentum.values())
+        # Optimizer state lives only inside one training call.
+        assert not hasattr(model, "momentum")
         assert np.array_equal(model.centers, np.zeros((3, 6)))
 
 
@@ -229,6 +230,18 @@ class TestLayerGradients:
             assert_close_rel(dx, numeric_grad(loss, x))
             assert_close_rel(dw, numeric_grad(loss, w))
             assert_close_rel(db, numeric_grad(loss, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_without_input_grad(self, dtype):
+        rng = np.random.default_rng(150)
+        x, w = rng.normal(size=(6, 9)).astype(dtype), rng.normal(size=(9, 4)).astype(dtype)
+        up = rng.normal(size=(6, 4)).astype(dtype)
+        _, cache = dense_forward(x, w, np.zeros(4, dtype=dtype))
+        _, dw, db = dense_backward(up, cache)
+        dx, dw_only, db_only = dense_backward(up, cache, input_grad=False)
+        assert dx is None
+        assert dw_only.dtype == dw.dtype and dw_only.tobytes() == dw.tobytes()
+        assert db_only.dtype == db.dtype and db_only.tobytes() == db.tobytes()
 
     def test_conv2d(self):
         for trial in range(20):
@@ -643,8 +656,6 @@ class TestCheckpoint:
         model = init_model(FusionArch(**TINY, dropout_p=0.25), CLASS3, seed=21)
         rng = np.random.default_rng(22)
         model.centers = rng.normal(size=model.centers.shape)
-        for name in model.momentum:
-            model.momentum[name] = rng.normal(size=model.momentum[name].shape)
         if with_stats:
             model.pixel_stats = PixelStats(rng.random((48, 48)), rng.random((48, 48)) + 0.1, 1e-6)
         return model

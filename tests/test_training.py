@@ -6,16 +6,24 @@ import pytest
 from microexpr.dataset import GrayImage, LabeledSample, generate_synthetic
 from microexpr.network import (
     FusionArch,
+    MlpArch,
     backward,
+    dense_backward,
+    dense_forward,
+    dropout_backward,
+    dropout_forward,
     forward,
     init_model,
     load_checkpoint,
+    relu_backward,
+    relu_forward,
     save_checkpoint,
     softmax,
 )
 from microexpr.preprocess import bilinear_resize, fit_pixel_stats, normalize_per_image
-from microexpr.rng import STREAM_SHUFFLE, substream
+from microexpr.rng import STREAM_DROPOUT, STREAM_SHUFFLE, substream
 from microexpr.training import (
+    SGD_BLOCK,
     AugmentParams,
     NonFiniteLossError,
     TrainConfig,
@@ -32,6 +40,7 @@ from microexpr.training import (
     prepare_image,
     sgd_momentum_step,
     train,
+    train_on_rows,
     update_centers,
 )
 
@@ -253,6 +262,15 @@ class TestSgdMomentum:
         assert params["w"][0] == 1.0 and buf["w"][0] == 0.0
         assert params["head.w"][0] == 0.9
 
+    def test_nan_in_last_block_names_the_tensor(self):
+        n = 2 * SGD_BLOCK + 5
+        params = {"a": np.zeros(3), "w": np.zeros(n)}
+        buf = {name: np.zeros_like(p) for name, p in params.items()}
+        grad = np.ones(n)
+        grad[-1] = np.nan
+        with pytest.raises(NonFiniteLossError, match="non-finite gradient in w$"):
+            sgd_momentum_step(params, buf, {"a": np.ones(3), "w": grad}, 0.1, 0.9)
+
 
 def log_of(losses, lr=0.01):
     return TrainLog([EpochRecord(i + 1, loss, loss, 0.0, lr, 0.0)
@@ -317,6 +335,14 @@ class TestShuffle:
         assert len(seen) == 3  # epochs get different orders
 
 
+def rows_problem():
+    """A descriptor MLP whose rows are wider than one SGD block and not a
+    multiple of it, so hidden.w ends in a partial block, with 10 rows."""
+    arch = MlpArch(classes=3, input_dim=SGD_BLOCK + 37, hidden_units=4, dropout_p=0.25)
+    rows = np.random.default_rng(31).normal(size=(10, arch.input_dim))
+    return arch, rows, np.arange(10) % 3
+
+
 def quick_cfg(**kw):
     base = dict(batch_size=24, lr=0.02, max_epochs=20, seed=1,
                 lambda_center=1e-4, loss_epsilon=1e-4)
@@ -362,6 +388,7 @@ class TestTrainLoop:
         prepared = np.stack([prepare_image(s.image, ref).pixels for s in samples])
         labels = np.array([s.label for s in samples])
         n = len(samples)
+        velocity = {k: np.zeros_like(v) for k, v in ref.params.items()}
         ref_losses = []
         for epoch in range(1, cfg.max_epochs + 1):
             lr = lr_schedule(log_of(ref_losses, cfg.lr), cfg)
@@ -384,13 +411,83 @@ class TestTrainLoop:
                 ce = cross_entropy(probs, onehot)
                 grads = backward(ref, cache, cross_entropy_grad_logits(probs, onehot),
                                  np.zeros_like(feats))
-                sgd_momentum_step(ref.params, ref.momentum, grads, lr, cfg.momentum)
+                sgd_momentum_step(ref.params, velocity, grads, lr, cfg.momentum)
                 total += ce * len(idx)
             ref_losses.append(total / n)
 
         assert log.losses() == ref_losses
         for name in trained.params:
             assert np.array_equal(trained.params[name], ref.params[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_training_equals_textbook_loop(self, dtype):
+        arch, rows, labels = rows_problem()
+        cfg = quick_cfg(batch_size=4, max_epochs=3, lambda_center=0.01)
+        trained, log = train_on_rows(init_model(arch, CLASS3, seed=cfg.seed, dtype=dtype),
+                                     rows, labels, cfg)
+
+        # Independent reference: whole-tensor heavy ball, the full dense_backward.
+        ref = init_model(arch, CLASS3, seed=cfg.seed, dtype=dtype)
+        params, centers = ref.params, ref.centers
+        x = rows.astype(dtype)
+        eye = np.eye(arch.classes, dtype=dtype)
+        velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        n = len(x)
+        ref_losses = []
+        for epoch in range(1, cfg.max_epochs + 1):
+            lr = lr_schedule(log_of(ref_losses, cfg.lr), cfg)
+            order = substream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
+            total = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                h, h_cache = dense_forward(x[idx], params["hidden.w"], params["hidden.b"])
+                feats, h_mask = relu_forward(h)
+                dropped, drop_cache = dropout_forward(
+                    feats, arch.dropout_p, substream(cfg.seed, STREAM_DROPOUT, epoch, start))
+                logits, head_cache = dense_forward(dropped, params["head.w"], params["head.b"])
+                probs = softmax(logits)
+                onehot = eye[labels[idx]]
+                ce = cross_entropy(probs, onehot)
+                c_loss, dfeat = center_loss(feats, labels[idx], centers)
+                grads = {}
+                ddrop, grads["head.w"], grads["head.b"] = dense_backward(
+                    cross_entropy_grad_logits(probs, onehot), head_cache)
+                dh = relu_backward(dropout_backward(ddrop, drop_cache)
+                                   + cfg.lambda_center * dfeat, h_mask)
+                _, grads["hidden.w"], grads["hidden.b"] = dense_backward(dh, h_cache)
+                for k, g in grads.items():
+                    velocity[k] = cfg.momentum * velocity[k] + g
+                    params[k] = params[k] - lr * velocity[k]
+                centers = update_centers(centers, feats, labels[idx], cfg.alpha_center)
+                total += (ce + cfg.lambda_center * c_loss) * len(idx)
+            ref_losses.append(total / n)
+
+        assert log.losses() == ref_losses
+        for name in params:
+            assert trained.params[name].dtype == dtype
+            assert trained.params[name].tobytes() == params[name].tobytes(), name
+        assert trained.centers.tobytes() == centers.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rollback_equals_clean_run_of_completed_epochs(self, monkeypatch):
+        arch, rows, labels = rows_problem()
+        cfg = quick_cfg(batch_size=4, max_epochs=6, lambda_center=0.01)
+        blow_up = 3
+        clean, _ = train_on_rows(init_model(arch, CLASS3, seed=cfg.seed), rows, labels,
+                                 quick_cfg(batch_size=4, max_epochs=blow_up - 1,
+                                           lambda_center=0.01))
+
+        # An infinite rate in epoch blow_up makes its second batch's loss NaN.
+        schedule = lr_schedule
+        monkeypatch.setattr("microexpr.training.lr_schedule", lambda log, c: (
+            math.inf if len(log.records) == blow_up - 1 else schedule(log, c)))
+        model = init_model(arch, CLASS3, seed=cfg.seed)
+        with pytest.raises(NonFiniteLossError, match=f"epoch {blow_up}") as info:
+            train_on_rows(model, rows, labels, cfg)
+        assert len(info.value.log.records) == blow_up - 1
+        for name in clean.params:
+            assert model.params[name].tobytes() == clean.params[name].tobytes(), name
+        assert model.centers.tobytes() == clean.centers.tobytes()
 
     def test_smoke_training_fits_small_corpus(self):
         samples = small_corpus(per_class=8)
@@ -474,9 +571,7 @@ class TestFineTune:
         assert len(data) == len(header) + 4 * elements
 
         loaded = load_checkpoint(path)
-        for name, param in loaded.params.items():
-            assert loaded.momentum[name].shape == param.shape
-            assert not loaded.momentum[name].any()
+        assert not hasattr(loaded, "momentum")
         before = {k: v.copy() for k, v in loaded.params.items()}
         fine_tune(loaded, samples, quick_cfg(max_epochs=2, seed=9))
         head = set(loaded.arch.head_param_names())
