@@ -35,26 +35,17 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config handling
 
+# Every field of the settings classes (seed is TrainConfig's) takes its
+# default, and so its option type, from its class; dropout_p from the archs.
 CONFIG_DEFAULTS: dict[str, object] = {
-    "seed": 0,
     "workers": 1,
     "profile": "cnn-fusion",
     "inference_mode": "multicrop",
     "split_mode": "stratified",
     "split_fraction": 0.2,
-    "gamma_low": 0.5,
-    "gamma_high": 1.5,
-    "sigma_frac": 0.125,
-    "batch_size": 256,
-    "momentum": 0.9,
-    "lr": 0.01,
-    "lr_drop_factor": 10.0,
-    "plateau_patience": 10,
-    "max_epochs": 1400,
-    "dropout_p": 0.5,
-    "lambda_center": 1e-4,
-    "alpha_center": 0.5,
-    "loss_epsilon": 1e-3,
+    "dropout_p": network.FusionArch.dropout_p,
+    **{f.name: f.default for settings in (preprocess.HomomorphicParams, training.TrainConfig)
+       for f in dataclasses.fields(settings)},
 }
 
 
@@ -293,27 +284,19 @@ def cmd_train(args) -> int:
     stats = load_pixel_stats(Path(args.stats)) if args.stats else None
 
     classes = len(manifest.class_names)
-    every = args.checkpoint_every or 0
     if opts.profile == "cnn-fusion":
         arch = network.FusionArch(classes=classes, dropout_p=opts.dropout_p)
     else:
-        # The rows training.model_input gives a descriptor model; the arch
-        # needs their width before the model exists.
-        rows = np.stack([features.image_descriptor(s.image).values for s in samples])
-        arch = network.MlpArch(classes=classes, input_dim=rows.shape[1],
+        arch = network.MlpArch(classes=classes, input_dim=features.IMAGE_DESCRIPTOR_LENGTH,
                                dropout_p=opts.dropout_p)
+        stats = None
     model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
+    model.pixel_stats = stats
     out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if arch.kind == "fusion":
-            model.pixel_stats = stats
-            model, log = training.train(model, samples, cfg,
-                                        checkpoint_every=every, checkpoint_dir=out)
-        else:
-            labels = np.array([s.label for s in samples], dtype=np.int64)
-            model, log = training.train_on_rows(model, rows, labels, cfg,
-                                                checkpoint_every=every, checkpoint_dir=out)
+        model, log = training.train(model, samples, cfg, checkpoint_dir=out,
+                                    checkpoint_every=args.checkpoint_every or 0)
     except training.NonFiniteLossError as err:
         network.save_checkpoint(out / "model.ckpt", model)
         getattr(err, "log", training.TrainLog()).write_csv(out / "train_log.csv")
@@ -416,6 +399,11 @@ def cmd_predict(args) -> int:
 # Parser
 
 
+def _add_setting(parser: argparse.ArgumentParser, key: str) -> None:
+    parser.add_argument(f"--{key.replace('_', '-')}", type=type(CONFIG_DEFAULTS[key]),
+                        default=None, dest=key)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, default=None)
@@ -443,11 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="filter, equalize, resize, split, fit stats")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--gamma-low", type=float, default=None, dest="gamma_low")
-    p.add_argument("--gamma-high", type=float, default=None, dest="gamma_high")
-    p.add_argument("--sigma-frac", type=float, default=None, dest="sigma_frac")
+    for f in dataclasses.fields(preprocess.HomomorphicParams):
+        _add_setting(p, f.name)
     p.add_argument("--split-mode", choices=("stratified", "subject"), default=None, dest="split_mode")
-    p.add_argument("--split-fraction", type=float, default=None, dest="split_fraction")
+    _add_setting(p, "split_fraction")
     _add_common(p)
     p.set_defaults(func=cmd_preprocess)
 
@@ -462,11 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=("cnn-fusion", "mlp-handcrafted"), default=None)
     p.add_argument("--checkpoint-every", type=int, default=0, dest="checkpoint_every",
                    help="also write an epoch-tagged checkpoint every N epochs")
-    for key in ("batch_size", "plateau_patience", "max_epochs"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=int, default=None, dest=key)
-    for key in ("momentum", "lr", "lr_drop_factor", "dropout_p", "lambda_center",
-                "alpha_center", "loss_epsilon"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, default=None, dest=key)
+    for f in dataclasses.fields(training.TrainConfig):
+        if f.name != "seed":  # one of the common flags
+            _add_setting(p, f.name)
+    _add_setting(p, "dropout_p")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

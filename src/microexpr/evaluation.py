@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,15 +165,21 @@ def multicrop_batch(px: np.ndarray) -> np.ndarray:
     return np.stack(crops)
 
 
+def _decide(probs: np.ndarray) -> tuple[int, np.ndarray]:
+    """(argmax, probs), ties to the lowest class; non-finite probs raise."""
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite class probabilities from the checkpoint")
+    return int(np.argmax(probs)), probs
+
+
 def multicrop_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarray]:
-    """Average the softmax over the ten crop views; ties break to the lowest
-    class index.  Defined for the fusion architecture."""
+    """Average the softmax over the ten crop views.  Defined for the fusion
+    architecture."""
     if model.arch.kind != "fusion":
         raise ValueError("multicrop prediction requires the fusion architecture")
     views = multicrop_batch(model_input(model, img)).astype(model_dtype(model))
     logits, _, _ = forward(model, views, "eval")
-    probs = softmax(logits).mean(axis=0)
-    return int(np.argmax(probs)), probs
+    return _decide(softmax(logits).mean(axis=0))
 
 
 def _feature_input(model: ModelState, img: GrayImage) -> np.ndarray:
@@ -242,8 +248,7 @@ def single_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarray]:
         return multicrop_predict(model, img)
     row = model_input(model, img)[None, :]
     logits, _, _ = forward(model, row.astype(model_dtype(model)), "eval")
-    probs = softmax(logits)[0]
-    return int(np.argmax(probs)), probs
+    return _decide(softmax(logits)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +259,7 @@ def build_report(
     true, pred, class_names: tuple[str, ...]
 ) -> tuple[MetricsReport, ConfusionMatrix]:
     cm = confusion(true, pred, len(class_names))
-    report = metrics(cm, class_names)
-    report = MetricsReport(
-        per_class=report.per_class,
-        macro=report.macro,
-        accuracy_trace=report.accuracy_trace,
-        accuracy_ovr_macro=report.accuracy_ovr_macro,
-        mae=mae(true, pred),
-    )
-    return report, cm
+    return replace(metrics(cm, class_names), mae=mae(true, pred)), cm
 
 
 def report_to_json(report: MetricsReport, protocol: dict[str, object]) -> str:

@@ -83,6 +83,19 @@ class FeatureConfig:
     hog_bins: int = 9
 
 
+def _descriptor_length(cfg: FeatureConfig) -> int:
+    """Per region, 256 LBP bins per grid cell plus hog_bins for each of the
+    four cells of every overlapping 2x2 block of HOG cells."""
+    grids = ((EYES_SIZE, cfg.eyes_lbp_grid), (FACE_SIZE, cfg.face_lbp_grid),
+             (MOUTH_SIZE, cfg.mouth_lbp_grid))
+    return sum(256 * gw * gh + 4 * cfg.hog_bins * (w // cfg.hog_cell - 1) * (h // cfg.hog_cell - 1)
+               for (w, h), (gw, gh) in grids)
+
+
+# The width of every image_descriptor row: the mlp-handcrafted input size.
+IMAGE_DESCRIPTOR_LENGTH = _descriptor_length(FeatureConfig())
+
+
 @functools.lru_cache(maxsize=None)
 def _area_weights(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic matrix mapping n_in samples to n_out area-averaged bins;

@@ -1,8 +1,8 @@
 """Training recipe: augmentation, joint cross-entropy + center loss, SGD with
 momentum, plateau learning-rate schedule, and head-only fine-tuning.
 
-Optimizer state lives only inside one train or train_on_rows call, whose
-velocity starts at zero: neither ModelState nor a checkpoint holds it.
+train is the one entry for both architectures, over train_on_rows for fixed
+rows.  Optimizer velocity starts at zero in each call; no checkpoint holds it.
 
 Determinism: shuffling, per-sample augmentation and dropout each draw from
 named substreams of the run seed.  A sample's augmentation stream is keyed by
@@ -278,6 +278,8 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
     With checkpoint_every > 0, an epoch-tagged checkpoint lands in
     checkpoint_dir every that many epochs."""
     n = len(labels)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.arch.classes:
+        raise ValueError("label out of range for model classes")
     eye = np.eye(model.arch.classes, dtype=model_dtype(model))
     log = TrainLog()
     # Frozen tensors never change, so they get no velocity and no snapshot;
@@ -352,19 +354,21 @@ def train(
     """Minimize CE + lambda * center loss with shuffled mini-batches until the
     mean epoch loss falls below loss_epsilon or max_epochs is reached.
 
-    Images must be 48x48; each is turned into its model_input once, then
-    re-augmented every epoch.  The final short batch is trained, not dropped.
-    On a non-finite loss the last completed epoch's state is restored and
-    NonFiniteLossError is raised with the log so far attached.
+    Each sample becomes its model_input once: a descriptor model trains on
+    those rows through train_on_rows, the fusion CNN on 48x48 images that it
+    re-augments every epoch, short final batch included.  On a non-finite loss
+    the last completed epoch is restored and NonFiniteLossError raised with
+    the log so far attached.
     """
     if not samples:
         raise ValueError("empty training set")
     prepared = np.stack([model_input(model, s.image) for s in samples])
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    if model.arch.kind != "fusion":
+        return train_on_rows(model, prepared, labels, cfg, trainable,
+                             checkpoint_every, checkpoint_dir)
     if prepared.shape[1:] != (AUGMENT_INPUT, AUGMENT_INPUT):
         raise ValueError(f"training images must be {AUGMENT_INPUT}x{AUGMENT_INPUT}")
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.arch.classes:
-        raise ValueError("label out of range for model classes")
     n = len(samples)
     dtype = model_dtype(model)
 
@@ -395,8 +399,8 @@ def train_on_rows(
     checkpoint_every: int = 0,
     checkpoint_dir=None,
 ) -> tuple[ModelState, TrainLog]:
-    """Same recipe over fixed input rows (precomputed descriptors); the
-    geometric augmentation chain does not apply to descriptor vectors."""
+    """The layer under train: the same recipe over fixed (n, d) input rows,
+    such as descriptors, which the augmentation chain does not apply to."""
     if rows.ndim != 2 or len(rows) != len(labels) or not len(rows):
         raise ValueError("rows must be a nonempty (n, d) array matching labels")
     labels = np.asarray(labels, dtype=np.int64)

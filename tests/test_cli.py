@@ -486,6 +486,25 @@ class TestExitCodes:
         assert "tensor param:fuse2.b holds non-finite values" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blown_up_checkpoint_serves_no_nan(self, tmp_path, capsys):
+        """A run whose rate blows up leaves finite but huge weights, whose
+        softmax is NaN: eval and predict refuse it instead of scoring it."""
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
+        assert main(["synth", "--classes", "3", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["train", "--train-manifest", str(data / "manifest.csv"),
+                     "--profile", "mlp-handcrafted", "--lr", "1e20", "--max-epochs", "6",
+                     "--out", str(run)]) == EXIT_RUNTIME
+        ckpt = str(run / "model.ckpt")
+        capsys.readouterr()
+        assert main(["predict", str(data / "images" / "C0_0000.pgm"),
+                     "--checkpoint", ckpt]) == EXIT_VALIDATION
+        assert main(["eval", "--test-manifest", str(data / "manifest.csv"), "--checkpoint", ckpt,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.count("non-finite class probabilities") == 2
+        assert not (out / "metrics.json").exists()
+
     def test_eval_refused_checkpoint_leaves_no_out_directory(self, tmp_path, capsys):
         ckpt, image = untrained_model(tmp_path)
         model = load_checkpoint(ckpt)

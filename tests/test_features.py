@@ -7,6 +7,7 @@ import pytest
 from microexpr.dataset import GrayImage, generate_synthetic
 from microexpr.features import (
     HOG_BLOCK_EPSILON,
+    IMAGE_DESCRIPTOR_LENGTH,
     FeatureConfig,
     FeatureDescriptor,
     _area_weights,
@@ -282,6 +283,12 @@ def expected_descriptor_length(cfg):
 
 
 class TestHandcraftedDescriptor:
+    @pytest.mark.parametrize("size", [48, 256])
+    def test_image_descriptor_length_known_up_front(self, size):
+        img = GrayImage(np.random.default_rng(size).random((size, size)))
+        assert IMAGE_DESCRIPTOR_LENGTH == image_descriptor(img).values.size
+        assert IMAGE_DESCRIPTOR_LENGTH == expected_descriptor_length(FeatureConfig())
+
     def test_default_length_and_fixed_layout(self):
         regions = crop_regions(GrayImage(np.random.default_rng(16).random((48, 48))))
         desc = handcrafted_descriptor(regions, FeatureConfig())

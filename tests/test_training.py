@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from microexpr.dataset import GrayImage, LabeledSample, generate_synthetic
+from microexpr.features import IMAGE_DESCRIPTOR_LENGTH, image_descriptor
 from microexpr.network import (
     FusionArch,
     MlpArch,
@@ -343,6 +344,12 @@ def rows_problem():
     return arch, rows, np.arange(10) % 3
 
 
+def descriptor_mlp(seed):
+    """A small MLP over the image descriptor, the mlp-handcrafted input."""
+    arch = MlpArch(classes=3, input_dim=IMAGE_DESCRIPTOR_LENGTH, hidden_units=4, dropout_p=0.25)
+    return init_model(arch, CLASS3, seed=seed, dtype=np.float32)
+
+
 def quick_cfg(**kw):
     base = dict(batch_size=24, lr=0.02, max_epochs=20, seed=1,
                 lambda_center=1e-4, loss_epsilon=1e-4)
@@ -489,6 +496,32 @@ class TestTrainLoop:
             assert model.params[name].tobytes() == clean.params[name].tobytes(), name
         assert model.centers.tobytes() == clean.centers.tobytes()
 
+    def test_mlp_samples_train_like_their_descriptor_rows(self):
+        samples = small_corpus(per_class=4)
+        cfg = quick_cfg(batch_size=5, max_epochs=3, lambda_center=0.01)
+        model, log = train(descriptor_mlp(cfg.seed), samples, cfg)
+        rows = np.stack([image_descriptor(s.image).values for s in samples])
+        labels = np.array([s.label for s in samples])
+        ref, ref_log = train_on_rows(descriptor_mlp(cfg.seed), rows, labels, cfg)
+        assert ([(r.loss, r.ce, r.center) for r in log.records]
+                == [(r.loss, r.ce, r.center) for r in ref_log.records])
+        for name in ref.params:
+            assert model.params[name].tobytes() == ref.params[name].tobytes(), name
+        assert model.centers.tobytes() == ref.centers.tobytes()
+        assert model.pixel_stats is None
+
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "classes"])
+    def test_label_out_of_range_rejected_by_both_entries(self, bad):
+        samples = small_corpus(per_class=2)
+        samples[1] = LabeledSample(samples[1].image, bad, samples[1].subject)
+        model, cfg = self._fresh(max_epochs=1)
+        with pytest.raises(ValueError, match="^label out of range for model classes$"):
+            train(model, samples, cfg)
+        arch, rows, labels = rows_problem()
+        labels[4] = bad
+        with pytest.raises(ValueError, match="^label out of range for model classes$"):
+            train_on_rows(init_model(arch, CLASS3, seed=1), rows, labels, cfg)
+
     def test_smoke_training_fits_small_corpus(self):
         samples = small_corpus(per_class=8)
         model, cfg = self._fresh(max_epochs=25)
@@ -553,6 +586,16 @@ class TestFineTune:
         fine_tune(model, samples, quick_cfg(max_epochs=5, seed=3, lr=0.005))
         tuned = eval_accuracy(model, samples)
         assert tuned >= base - 0.02
+
+    def test_descriptor_mlp_tunes_only_head_and_centers(self):
+        model = descriptor_mlp(seed=2)
+        before = {k: v.copy() for k, v in model.params.items()}
+        centers = model.centers.copy()
+        fine_tune(model, small_corpus(per_class=4), quick_cfg(max_epochs=2, seed=9))
+        head = set(model.arch.head_param_names())
+        for name in before:
+            assert np.array_equal(model.params[name], before[name]) == (name not in head), name
+        assert not np.array_equal(model.centers, centers)
 
     def test_reloaded_checkpoint_fine_tunes(self, tmp_path):
         samples = small_corpus(per_class=4)
