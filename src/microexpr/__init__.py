@@ -32,9 +32,7 @@ from .evaluation import (
     nearest_feature_predict,
 )
 from .features import (
-    FeatureConfig,
     FeatureDescriptor,
-    RegionSet,
     avg_pool_resize,
     crop_regions,
     handcrafted_descriptor,

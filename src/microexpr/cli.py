@@ -182,7 +182,8 @@ def cmd_synth(args) -> int:
 def _preprocess_one(img: GrayImage, params: preprocess.HomomorphicParams) -> GrayImage:
     filtered = preprocess.homomorphic_filter(img, params)
     equalized = preprocess.hist_equalize(filtered)
-    resized = preprocess.bilinear_resize(equalized.pixels, 48, 48)
+    size = preprocess.PREPARED_SIZE
+    resized = preprocess.bilinear_resize(equalized.pixels, size, size)
     # Quantize now so stats are fitted on exactly what later stages reload.
     return GrayImage(np.rint(np.clip(resized, 0.0, 1.0) * 255.0) / 255.0)
 
@@ -293,18 +294,20 @@ def cmd_train(args) -> int:
     model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
     model.pixel_stats = stats
     out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
+    error = None
     try:
         model, log = training.train(model, samples, cfg, checkpoint_dir=out,
                                     checkpoint_every=args.checkpoint_every or 0)
     except training.NonFiniteLossError as err:
-        network.save_checkpoint(out / "model.ckpt", model)
-        getattr(err, "log", training.TrainLog()).write_csv(out / "train_log.csv")
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-
+        # The model was rolled back in place; it and the log so far are kept.
+        error, log = err, getattr(err, "log", training.TrainLog())
+    # Made only now, so a run refused before its first epoch leaves nothing.
+    out.mkdir(parents=True, exist_ok=True)
     network.save_checkpoint(out / "model.ckpt", model)
     log.write_csv(out / "train_log.csv")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_RUNTIME
     last = log.records[-1]
     print(f"trained {last.epoch} epoch(s), final loss {last.loss:.6f} -> {out / 'model.ckpt'}")
     return EXIT_OK
@@ -387,9 +390,10 @@ def cmd_predict(args) -> int:
     opts = _Options(args)
     model = network.load_checkpoint(Path(args.checkpoint))
     img = dataset.decode_pgm(Path(args.image).read_bytes())
-    if (img.height, img.width) != (48, 48):
-        raise ConfigError(f"{args.image} is {img.width}x{img.height}, predict takes a 48x48 "
-                          "image: run `microexpr preprocess` first")
+    size = preprocess.PREPARED_SIZE
+    if (img.height, img.width) != (size, size):
+        raise ConfigError(f"{args.image} is {img.width}x{img.height}, predict takes a "
+                          f"{size}x{size} image: run `microexpr preprocess` first")
     [(label, score)] = _predict(model, [img], opts.inference_mode, args.gallery_manifest)
     print(f"{model.class_names[label]} {score:.6f}")
     return EXIT_OK

@@ -18,16 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .dataset import GrayImage, Manifest, ManifestError
-from .network import ModelState, forward, model_dtype, softmax
+from .network import FusionArch, ModelState, forward, model_dtype, softmax
+from .preprocess import PREPARED_SIZE
 from .training import model_input
 
-MULTICROP_SOURCE = 48
-MULTICROP_WINDOW = 42
 # Gallery rows per forward in build_gallery.  Per image on the fusion CNN
 # (280 images, one BLAS thread, 2-vCPU host): 16 rows 0.45-0.50 ms; 24 and
 # 32 rows 0.49 ms in some runs and 0.73 ms in others; 64 rows 0.74 ms; one
@@ -120,13 +119,9 @@ def metrics(cm: ConfusionMatrix, class_names: tuple[str, ...] | None = None) -> 
         )
         ovr_accuracies.append((tp + tn) / total)
 
-    macro = {
-        "precision": float(np.mean([m.precision for m in per_class])),
-        "recall": float(np.mean([m.recall for m in per_class])),
-        "f_measure": float(np.mean([m.f_measure for m in per_class])),
-        "sensitivity": float(np.mean([m.sensitivity for m in per_class])),
-        "specificity": float(np.mean([m.specificity for m in per_class])),
-    }
+    # Every ClassMetrics field after the name, averaged over the classes.
+    macro = {f.name: float(np.mean([getattr(m, f.name) for m in per_class]))
+             for f in fields(ClassMetrics)[1:]}
     return MetricsReport(
         per_class=tuple(per_class),
         macro=macro,
@@ -149,18 +144,19 @@ def mae(true, pred) -> float:
 
 
 def _check_source(px: np.ndarray) -> None:
-    if px.shape != (MULTICROP_SOURCE, MULTICROP_SOURCE):
-        raise ValueError(f"expected {MULTICROP_SOURCE}x{MULTICROP_SOURCE} image")
+    if px.shape != (PREPARED_SIZE, PREPARED_SIZE):
+        raise ValueError(f"expected {PREPARED_SIZE}x{PREPARED_SIZE} image")
 
 
 def multicrop_batch(px: np.ndarray) -> np.ndarray:
     """The ten 42x42 test views of a 48x48 image: four corners plus center,
     then the same five mirrored; shape (10, 42, 42)."""
     _check_source(px)
-    margin = MULTICROP_SOURCE - MULTICROP_WINDOW
+    window = FusionArch.input_size
+    margin = PREPARED_SIZE - window
     center = margin // 2
     offsets = ((0, 0), (0, margin), (margin, 0), (margin, margin), (center, center))
-    crops = [px[y : y + MULTICROP_WINDOW, x : x + MULTICROP_WINDOW] for y, x in offsets]
+    crops = [px[y : y + window, x : x + window] for y, x in offsets]
     crops += [c[:, ::-1] for c in crops]
     return np.stack(crops)
 
@@ -189,8 +185,9 @@ def _feature_input(model: ModelState, img: GrayImage) -> np.ndarray:
     if model.arch.kind != "fusion":
         return x
     _check_source(x)
-    start = (MULTICROP_SOURCE - MULTICROP_WINDOW) // 2
-    return x[start : start + MULTICROP_WINDOW, start : start + MULTICROP_WINDOW]
+    window = FusionArch.input_size
+    start = (PREPARED_SIZE - window) // 2
+    return x[start : start + window, start : start + window]
 
 
 def extract_features(model: ModelState, img: GrayImage) -> np.ndarray:
@@ -267,17 +264,7 @@ def report_to_json(report: MetricsReport, protocol: dict[str, object]) -> str:
         "accuracy_trace": report.accuracy_trace,
         "accuracy_ovr_macro": report.accuracy_ovr_macro,
         "mae": report.mae,
-        "per_class": [
-            {
-                "name": m.name,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f_measure": m.f_measure,
-                "sensitivity": m.sensitivity,
-                "specificity": m.specificity,
-            }
-            for m in report.per_class
-        ],
+        "per_class": [asdict(m) for m in report.per_class],
         "macro": report.macro,
         "protocol": protocol,
     }

@@ -1,8 +1,8 @@
 """Facial region extraction and handcrafted descriptors (LBP and HOG).
 
-Region profile: eyes and mouth are the top and bottom floor(h/3) rows pooled
-to 140x40, the whole face pooled to 200x200.  Descriptors concatenate in the
-fixed order eyes, face, mouth with LBP before HOG per region.
+Region profile: eyes and mouth are the top and bottom floor(h/3) rows, face
+the whole image, each pooled to its REGIONS size.  Descriptors concatenate in
+the fixed REGIONS order eyes, face, mouth with LBP before HOG per region.
 """
 
 from __future__ import annotations
@@ -16,33 +16,17 @@ import numpy as np
 
 from .dataset import GrayImage
 
-EYES_SIZE = (140, 40)  # width, height
-FACE_SIZE = (200, 200)
-MOUTH_SIZE = (140, 40)
+# (name, pooled (width, height), LBP grid (cells across, cells down)) in
+# descriptor order; every region also gets HOG over HOG_CELL-pixel cells.
+REGIONS = (("eyes", (140, 40), (4, 2)), ("face", (200, 200), (5, 5)), ("mouth", (140, 40), (4, 2)))
+HOG_CELL = 10
+HOG_BINS = 9
 
 # LBP neighbor order: start at the east neighbor, proceed counter-clockwise.
 # (row, col) offsets within a 3x3 window whose center is (1,1).
 LBP_OFFSETS = ((1, 2), (0, 2), (0, 1), (0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
 
 HOG_BLOCK_EPSILON = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class RegionSet:
-    eyes: GrayImage
-    face: GrayImage
-    mouth: GrayImage
-
-    def __post_init__(self):
-        for region, (w, h) in (
-            (self.eyes, EYES_SIZE),
-            (self.face, FACE_SIZE),
-            (self.mouth, MOUTH_SIZE),
-        ):
-            if (region.width, region.height) != (w, h):
-                raise ValueError(
-                    f"region is {region.width}x{region.height}, expected {w}x{h}"
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,29 +55,13 @@ class FeatureDescriptor:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Grid/cell settings for the handcrafted descriptor.  Region order is
-    fixed (eyes, face, mouth) and is not configurable."""
-
-    eyes_lbp_grid: tuple[int, int] = (4, 2)  # cells across, cells down
-    face_lbp_grid: tuple[int, int] = (5, 5)
-    mouth_lbp_grid: tuple[int, int] = (4, 2)
-    hog_cell: int = 10
-    hog_bins: int = 9
-
-
-def _descriptor_length(cfg: FeatureConfig) -> int:
-    """Per region, 256 LBP bins per grid cell plus hog_bins for each of the
-    four cells of every overlapping 2x2 block of HOG cells."""
-    grids = ((EYES_SIZE, cfg.eyes_lbp_grid), (FACE_SIZE, cfg.face_lbp_grid),
-             (MOUTH_SIZE, cfg.mouth_lbp_grid))
-    return sum(256 * gw * gh + 4 * cfg.hog_bins * (w // cfg.hog_cell - 1) * (h // cfg.hog_cell - 1)
-               for (w, h), (gw, gh) in grids)
-
-
-# The width of every image_descriptor row: the mlp-handcrafted input size.
-IMAGE_DESCRIPTOR_LENGTH = _descriptor_length(FeatureConfig())
+# The width of every image_descriptor row, the mlp-handcrafted input size:
+# per region, 256 LBP bins per grid cell plus HOG_BINS for each of the four
+# cells of every overlapping 2x2 block of HOG cells.
+IMAGE_DESCRIPTOR_LENGTH = sum(
+    256 * gw * gh + 4 * HOG_BINS * (w // HOG_CELL - 1) * (h // HOG_CELL - 1)
+    for _, (w, h), (gw, gh) in REGIONS
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,19 +94,15 @@ def avg_pool_resize(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     return GrayImage(rows @ img.pixels @ cols.T)
 
 
-def crop_regions(face: GrayImage) -> RegionSet:
+def crop_regions(face: GrayImage) -> dict[str, GrayImage]:
     """Top third to eyes, bottom third to mouth, whole image to face, each
-    pooled to its profile size."""
+    pooled to its REGIONS size; keyed by region name in REGIONS order."""
     if face.height < 3 or face.width < 3:
         raise ValueError(f"face image {face.width}x{face.height} too small to crop")
     third = face.height // 3
-    eyes = GrayImage(face.pixels[:third])
-    mouth = GrayImage(face.pixels[face.height - third :])
-    return RegionSet(
-        eyes=avg_pool_resize(eyes, *EYES_SIZE),
-        face=avg_pool_resize(face, *FACE_SIZE),
-        mouth=avg_pool_resize(mouth, *MOUTH_SIZE),
-    )
+    source = {"eyes": face.pixels[:third], "face": face.pixels,
+              "mouth": face.pixels[face.height - third :]}
+    return {name: avg_pool_resize(GrayImage(source[name]), *size) for name, size, _ in REGIONS}
 
 
 def lbp_code(window: np.ndarray) -> int:
@@ -249,18 +213,18 @@ def hog_descriptor(img: GrayImage, cell: int, bins: int) -> FeatureDescriptor:
     return FeatureDescriptor(flat, (("hog", 0, flat.size),))
 
 
-def handcrafted_descriptor(regions: RegionSet, cfg: FeatureConfig) -> FeatureDescriptor:
-    """LBP + HOG over eyes, face, mouth, concatenated in that fixed order."""
+def handcrafted_descriptor(regions: dict[str, GrayImage]) -> FeatureDescriptor:
+    """LBP + HOG over the REGIONS, concatenated in table order; a region
+    whose size differs from its table entry raises ValueError."""
     parts: list[np.ndarray] = []
     layout: list[tuple[str, int, int]] = []
     offset = 0
-    for name, region, grid in (
-        ("eyes", regions.eyes, cfg.eyes_lbp_grid),
-        ("face", regions.face, cfg.face_lbp_grid),
-        ("mouth", regions.mouth, cfg.mouth_lbp_grid),
-    ):
+    for name, (w, h), grid in REGIONS:
+        region = regions[name]
+        if (region.width, region.height) != (w, h):
+            raise ValueError(f"{name} region is {region.width}x{region.height}, expected {w}x{h}")
         lbp = lbp_histogram(region, *grid)
-        hog = hog_descriptor(region, cfg.hog_cell, cfg.hog_bins)
+        hog = hog_descriptor(region, HOG_CELL, HOG_BINS)
         for kind, values in (("lbp", lbp.values), ("hog", hog.values)):
             parts.append(values)
             layout.append((f"{name}.{kind}", offset, values.size))
@@ -269,9 +233,9 @@ def handcrafted_descriptor(regions: RegionSet, cfg: FeatureConfig) -> FeatureDes
 
 
 def image_descriptor(face: GrayImage) -> FeatureDescriptor:
-    """The default-config descriptor of a face image as loaded: the row the
-    `features` subcommand writes and the `mlp-handcrafted` network input."""
-    return handcrafted_descriptor(crop_regions(face), FeatureConfig())
+    """The descriptor of a face image as loaded: the row the `features`
+    subcommand writes and the `mlp-handcrafted` network input."""
+    return handcrafted_descriptor(crop_regions(face))
 
 
 def write_descriptor_csv(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -233,14 +233,6 @@ class FusionArch:
         shapes.append(("head.b", (self.classes,), 0))
         return shapes
 
-    def describe(self) -> str:
-        return (
-            f"arch fusion classes={self.classes} input_size={self.input_size} "
-            f"crop_rows={self.crop_rows} conv1_channels={self.conv1_channels} "
-            f"conv2_channels={self.conv2_channels} branch_units={self.branch_units} "
-            f"fusion_units={self.fusion_units} dropout_p={self.dropout_p!r}"
-        )
-
 
 @dataclass(frozen=True)
 class MlpArch:
@@ -276,11 +268,12 @@ class MlpArch:
             ("head.b", (self.classes,), 0),
         ]
 
-    def describe(self) -> str:
-        return (
-            f"arch mlp classes={self.classes} input_dim={self.input_dim} "
-            f"hidden_units={self.hidden_units} dropout_p={self.dropout_p!r}"
-        )
+
+def _describe_arch(arch) -> str:
+    """The checkpoint's arch line: `arch <kind>`, then name=repr(value) for
+    every field in declaration order."""
+    return " ".join([f"arch {arch.kind}"]
+                    + [f"{f.name}={getattr(arch, f.name)!r}" for f in fields(arch)])
 
 
 def _arch_from_description(line: str):
@@ -538,7 +531,7 @@ def save_checkpoint(path, model: ModelState) -> None:
     entries.append(("centers", model.centers))
     if model.pixel_stats is not None:
         entries += _stats_entries(model.pixel_stats)
-    meta = [model.arch.describe(), "classes " + ",".join(model.class_names)]
+    meta = [_describe_arch(model.arch), "classes " + ",".join(model.class_names)]
     _write_tensors(path, meta, entries)
 
 

@@ -17,6 +17,9 @@ import numpy as np
 
 from .dataset import GrayImage
 
+# Side of every prepared image: preprocess writes, training augments and
+# inference crops PREPARED_SIZE x PREPARED_SIZE images.
+PREPARED_SIZE = 48
 # Offset added before the log transform so black pixels stay finite.
 LOG_DELTA = 1.0 / 255.0
 PER_IMAGE_EPSILON = 1e-6

@@ -6,13 +6,13 @@ rows.  Optimizer velocity starts at zero in each call; no checkpoint holds it.
 
 Determinism: shuffling, per-sample augmentation and dropout each draw from
 named substreams of the run seed.  A sample's augmentation stream is keyed by
-epoch * dataset_size + original index, so batch order and worker parallelism
-cannot change results.
+epoch * dataset_size + original index, so batch order cannot change results.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -20,8 +20,9 @@ import numpy as np
 
 from .dataset import GrayImage, LabeledSample
 from .features import image_descriptor
-from .network import ModelState, backward, forward, model_dtype, save_checkpoint, softmax
+from .network import FusionArch, ModelState, backward, forward, model_dtype, save_checkpoint, softmax
 from .preprocess import (
+    PREPARED_SIZE,
     apply_pixel_stats,
     bilinear_resize,
     normalize_per_image,
@@ -30,8 +31,6 @@ from .preprocess import (
 )
 from .rng import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_SHUFFLE, substream
 
-AUGMENT_INPUT = 48
-AUGMENT_OUTPUT = 42
 AUGMENT_MAX_SCALE = 54
 AUGMENT_MAX_ANGLE = 45.0
 
@@ -131,8 +130,8 @@ def draw_augment_params(rng) -> AugmentParams:
     then the crop offsets (whose range depends on the size)."""
     mirror = bool(rng.random() < 0.5)
     angle = float(rng.uniform(-AUGMENT_MAX_ANGLE, AUGMENT_MAX_ANGLE))
-    size = int(rng.integers(AUGMENT_OUTPUT, AUGMENT_MAX_SCALE + 1))
-    max_off = size - AUGMENT_OUTPUT
+    size = int(rng.integers(FusionArch.input_size, AUGMENT_MAX_SCALE + 1))
+    max_off = size - FusionArch.input_size
     crop_y = int(rng.integers(0, max_off + 1))
     crop_x = int(rng.integers(0, max_off + 1))
     return AugmentParams(mirror, angle, size, crop_y, crop_x)
@@ -140,15 +139,15 @@ def draw_augment_params(rng) -> AugmentParams:
 
 def apply_augment(img: GrayImage, p: AugmentParams) -> GrayImage:
     """Mirror, rotate (bilinear, edge fill), rescale to size x size (bilinear),
-    crop to the 42x42 training window, in that order."""
-    if (img.height, img.width) != (AUGMENT_INPUT, AUGMENT_INPUT):
-        raise ValueError(f"augment expects {AUGMENT_INPUT}x{AUGMENT_INPUT} input")
+    crop to the network's input_size training window, in that order."""
+    if (img.height, img.width) != (PREPARED_SIZE, PREPARED_SIZE):
+        raise ValueError(f"augment expects {PREPARED_SIZE}x{PREPARED_SIZE} input")
     px = img.pixels
     if p.mirror:
         px = px[:, ::-1]
     px = rotate_bilinear(px, p.angle_deg)
     px = bilinear_resize(px, p.size, p.size)
-    out = AUGMENT_OUTPUT
+    out = FusionArch.input_size
     px = px[p.crop_y : p.crop_y + out, p.crop_x : p.crop_x + out]
     return GrayImage(px.copy())
 
@@ -276,7 +275,8 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
     """Shared epoch loop: shuffle, batch, joint loss, SGD step, center update.
     make_batch(epoch, indices) produces the network input for those samples.
     With checkpoint_every > 0, an epoch-tagged checkpoint lands in
-    checkpoint_dir every that many epochs."""
+    checkpoint_dir, created when the first one is written, every that many
+    epochs."""
     n = len(labels)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.arch.classes:
         raise ValueError("label out of range for model classes")
@@ -337,6 +337,7 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
                         time.perf_counter() - started)
         )
         if checkpoint_every > 0 and checkpoint_dir is not None and epoch % checkpoint_every == 0:
+            os.makedirs(checkpoint_dir, exist_ok=True)
             save_checkpoint(f"{checkpoint_dir}/model_epoch{epoch}.ckpt", model)
         if epoch_loss < cfg.loss_epsilon:
             break
@@ -367,8 +368,8 @@ def train(
     if model.arch.kind != "fusion":
         return train_on_rows(model, prepared, labels, cfg, trainable,
                              checkpoint_every, checkpoint_dir)
-    if prepared.shape[1:] != (AUGMENT_INPUT, AUGMENT_INPUT):
-        raise ValueError(f"training images must be {AUGMENT_INPUT}x{AUGMENT_INPUT}")
+    if prepared.shape[1:] != (PREPARED_SIZE, PREPARED_SIZE):
+        raise ValueError(f"training images must be {PREPARED_SIZE}x{PREPARED_SIZE}")
     n = len(samples)
     dtype = model_dtype(model)
 

@@ -590,6 +590,17 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_refused_train_leaves_no_out_directory(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--per-class", "2", "--size", "64",
+                     "--seed", "1", "--out", str(data)]) == EXIT_OK
+        out = tmp_path / "run"
+        rc = main(["train", "--train-manifest", str(data / "manifest.csv"), "--max-epochs", "1",
+                   "--checkpoint-every", "1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "training images must be 48x48" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_validation_error(self, tmp_path):
         rc = main(["eval", "--test-manifest", str(tmp_path / "nope.csv"),
                    "--checkpoint", "x", "--out", str(tmp_path)])

@@ -308,11 +308,11 @@ class TestGallery:
 
 class TestSinglePredictMlp:
     def test_descriptor_model_prediction_shape(self):
-        from microexpr.features import FeatureConfig, crop_regions, handcrafted_descriptor
+        from microexpr.features import crop_regions, handcrafted_descriptor
 
         rng = np.random.default_rng(17)
         img = GrayImage(rng.random((48, 48)))
-        probe_desc = handcrafted_descriptor(crop_regions(img), FeatureConfig())
+        probe_desc = handcrafted_descriptor(crop_regions(img))
         arch = MlpArch(classes=3, input_dim=probe_desc.values.size, hidden_units=16)
         model = init_model(arch, CLASS3, seed=18)
         label, probs = single_predict(model, img)

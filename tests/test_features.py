@@ -8,7 +8,6 @@ from microexpr.dataset import GrayImage, generate_synthetic
 from microexpr.features import (
     HOG_BLOCK_EPSILON,
     IMAGE_DESCRIPTOR_LENGTH,
-    FeatureConfig,
     FeatureDescriptor,
     _area_weights,
     _lbp_codes,
@@ -95,9 +94,9 @@ class TestAvgPoolResize:
 class TestCropRegions:
     def test_48x48_shapes(self):
         regions = crop_regions(GrayImage(np.random.default_rng(3).random((48, 48))))
-        assert (regions.eyes.width, regions.eyes.height) == (140, 40)
-        assert (regions.face.width, regions.face.height) == (200, 200)
-        assert (regions.mouth.width, regions.mouth.height) == (140, 40)
+        assert (regions["eyes"].width, regions["eyes"].height) == (140, 40)
+        assert (regions["face"].width, regions["face"].height) == (200, 200)
+        assert (regions["mouth"].width, regions["mouth"].height) == (140, 40)
 
     def test_row_bands(self):
         # Mark the top and bottom thirds; eyes/mouth must average to the marks.
@@ -105,18 +104,18 @@ class TestCropRegions:
         px[:16] = 1.0
         px[32:] = 0.5
         regions = crop_regions(GrayImage(px))
-        assert np.allclose(regions.eyes.pixels, 1.0, atol=1e-12)
-        assert np.allclose(regions.mouth.pixels, 0.5, atol=1e-12)
+        assert np.allclose(regions["eyes"].pixels, 1.0, atol=1e-12)
+        assert np.allclose(regions["mouth"].pixels, 0.5, atol=1e-12)
 
     def test_constant_preserved(self):
         regions = crop_regions(GrayImage(np.full((30, 20), 0.7)))
-        for region in (regions.eyes, regions.face, regions.mouth):
+        for region in (regions["eyes"], regions["face"], regions["mouth"]):
             assert np.allclose(region.pixels, 0.7, atol=1e-12)
 
     def test_any_input_same_output_shapes(self):
         regions = crop_regions(GrayImage(np.random.default_rng(4).random((300, 300))))
-        assert regions.eyes.pixels.shape == (40, 140)
-        assert regions.face.pixels.shape == (200, 200)
+        assert regions["eyes"].pixels.shape == (40, 140)
+        assert regions["face"].pixels.shape == (200, 200)
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(5)
@@ -124,8 +123,8 @@ class TestCropRegions:
         sym = (px + px[:, ::-1]) / 2.0
         regions = crop_regions(GrayImage(sym))
         flipped = crop_regions(GrayImage(sym[:, ::-1]))
-        assert np.allclose(regions.eyes.pixels, flipped.eyes.pixels[:, ::-1], atol=1e-12)
-        assert np.allclose(regions.mouth.pixels, flipped.mouth.pixels[:, ::-1], atol=1e-12)
+        assert np.allclose(regions["eyes"].pixels, flipped["eyes"].pixels[:, ::-1], atol=1e-12)
+        assert np.allclose(regions["mouth"].pixels, flipped["mouth"].pixels[:, ::-1], atol=1e-12)
 
     def test_degenerate_input_rejected(self):
         with pytest.raises(ValueError, match="too small"):
@@ -270,15 +269,18 @@ class TestHog:
             hog_descriptor(GrayImage(np.zeros((4, 20))), 5, 9)
 
 
-def expected_descriptor_length(cfg):
+# The region table restated: (pooled width, height) and LBP grid per region
+# in descriptor order, HOG over 10-pixel cells with 9 bins.
+REGION_GRIDS = (((140, 40), (4, 2)), ((200, 200), (5, 5)), ((140, 40), (4, 2)))
+
+
+def expected_descriptor_length():
     """Independent evaluation of the segment-length formulas."""
     total = 0
-    for (w, h), (gw, gh) in (((140, 40), cfg.eyes_lbp_grid),
-                             ((200, 200), cfg.face_lbp_grid),
-                             ((140, 40), cfg.mouth_lbp_grid)):
+    for (w, h), (gw, gh) in REGION_GRIDS:
         total += gw * gh * 256
-        cx, cy = w // cfg.hog_cell, h // cfg.hog_cell
-        total += (cx - 1) * (cy - 1) * 4 * cfg.hog_bins
+        cx, cy = w // 10, h // 10
+        total += (cx - 1) * (cy - 1) * 4 * 9
     return total
 
 
@@ -287,37 +289,47 @@ class TestHandcraftedDescriptor:
     def test_image_descriptor_length_known_up_front(self, size):
         img = GrayImage(np.random.default_rng(size).random((size, size)))
         assert IMAGE_DESCRIPTOR_LENGTH == image_descriptor(img).values.size
-        assert IMAGE_DESCRIPTOR_LENGTH == expected_descriptor_length(FeatureConfig())
+        assert IMAGE_DESCRIPTOR_LENGTH == expected_descriptor_length() == 26300
 
     def test_default_length_and_fixed_layout(self):
         regions = crop_regions(GrayImage(np.random.default_rng(16).random((48, 48))))
-        desc = handcrafted_descriptor(regions, FeatureConfig())
-        assert desc.values.size == expected_descriptor_length(FeatureConfig())
+        desc = handcrafted_descriptor(regions)
+        assert desc.values.size == expected_descriptor_length()
         assert [name for name, _, _ in desc.layout] == [
             "eyes.lbp", "eyes.hog", "face.lbp", "face.hog", "mouth.lbp", "mouth.hog"
         ]
 
     def test_deterministic(self):
         px = np.random.default_rng(17).random((48, 48))
-        a = handcrafted_descriptor(crop_regions(GrayImage(px)), FeatureConfig())
-        b = handcrafted_descriptor(crop_regions(GrayImage(px)), FeatureConfig())
+        a = handcrafted_descriptor(crop_regions(GrayImage(px)))
+        b = handcrafted_descriptor(crop_regions(GrayImage(px)))
         assert np.array_equal(a.values, b.values)
 
     def test_constant_regions(self):
-        from microexpr.features import RegionSet
-
-        regions = RegionSet(
-            eyes=GrayImage(np.full((40, 140), 0.3)),
-            face=GrayImage(np.full((200, 200), 0.3)),
-            mouth=GrayImage(np.full((40, 140), 0.3)),
-        )
-        desc = handcrafted_descriptor(regions, FeatureConfig())
+        regions = {
+            "eyes": GrayImage(np.full((40, 140), 0.3)),
+            "face": GrayImage(np.full((200, 200), 0.3)),
+            "mouth": GrayImage(np.full((40, 140), 0.3)),
+        }
+        desc = handcrafted_descriptor(regions)
         for region in ("eyes", "face", "mouth"):
             lbp = desc.segment(f"{region}.lbp").reshape(-1, 256)
             assert np.array_equal(lbp[:, 255], np.ones(len(lbp)))
             assert lbp.sum() == len(lbp)
             assert np.array_equal(desc.segment(f"{region}.hog"),
                                   np.zeros_like(desc.segment(f"{region}.hog")))
+
+
+    def test_regions_keyed_in_table_order(self):
+        regions = crop_regions(GrayImage(np.random.default_rng(18).random((48, 48))))
+        assert list(regions) == ["eyes", "face", "mouth"]
+
+    @pytest.mark.parametrize("name", ["eyes", "face", "mouth"])
+    def test_wrong_size_region_refused(self, name):
+        regions = crop_regions(GrayImage(np.random.default_rng(19).random((48, 48))))
+        regions[name] = GrayImage(regions[name].pixels[:-1])
+        with pytest.raises(ValueError, match=f"{name} region is"):
+            handcrafted_descriptor(regions)
 
 
 class TestFeatureDescriptor:
@@ -385,12 +397,10 @@ def reference_hog(px, cell, bins):
 
 def reference_image_descriptor(px):
     regions = crop_regions(GrayImage(px))
-    cfg = FeatureConfig()
     parts = []
-    for region, grid in ((regions.eyes, cfg.eyes_lbp_grid), (regions.face, cfg.face_lbp_grid),
-                         (regions.mouth, cfg.mouth_lbp_grid)):
-        parts.append(reference_lbp_histogram(region.pixels, *grid))
-        parts.append(reference_hog(region.pixels, cfg.hog_cell, cfg.hog_bins))
+    for name, (_, grid) in zip(("eyes", "face", "mouth"), REGION_GRIDS):
+        parts.append(reference_lbp_histogram(regions[name].pixels, *grid))
+        parts.append(reference_hog(regions[name].pixels, 10, 9))
     return np.concatenate(parts)
 
 

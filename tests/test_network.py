@@ -6,6 +6,8 @@ import pytest
 from microexpr.network import (
     FusionArch,
     MlpArch,
+    _arch_from_description,
+    _describe_arch,
     backward,
     concat_backward,
     concat_forward,
@@ -719,6 +721,26 @@ class TestCheckpoint:
         path = tmp_path / "nostat.ckpt"
         save_checkpoint(path, model)
         assert load_checkpoint(path).pixel_stats is None
+
+    @pytest.mark.parametrize("arch,line", [
+        (FusionArch(classes=7),
+         "arch fusion classes=7 input_size=42 crop_rows=14 conv1_channels=16 conv2_channels=32 "
+         "branch_units=128 fusion_units=128 dropout_p=0.5"),
+        (MlpArch(classes=7, input_dim=26300),
+         "arch mlp classes=7 input_dim=26300 hidden_units=256 dropout_p=0.5"),
+    ], ids=["fusion", "mlp"])
+    def test_arch_header_text(self, tmp_path, arch, line):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(arch, tuple(f"C{k}" for k in range(7)), seed=0))
+        header = path.read_bytes().split(b"\n")[:3]
+        assert header == [b"MFETENSOR1", line.encode(), b"classes C0,C1,C2,C3,C4,C5,C6"]
+
+    @pytest.mark.parametrize("arch", [
+        FusionArch(**TINY, dropout_p=0.25),
+        MlpArch(classes=4, input_dim=11, hidden_units=5, dropout_p=0.125),
+    ], ids=["fusion", "mlp"])
+    def test_arch_line_round_trips_non_default_fields(self, arch):
+        assert _arch_from_description(_describe_arch(arch)) == arch
 
     def test_forward_agrees_after_round_trip(self, tmp_path):
         model = self._model(with_stats=False)
