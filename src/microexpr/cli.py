@@ -14,6 +14,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -415,6 +416,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="microexpr", description="micro facial expression recognition pipeline"
@@ -424,14 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="build a manifest from JAFFE-named PGM files")
     p.add_argument("directory")
     _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--classes", type=int, default=7)
     p.add_argument("--per-class", type=int, default=10, dest="per_class")
     p.add_argument("--size", type=int, default=48)
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="filter, equalize, resize, split, fit stats")
     p.add_argument("--manifest", required=True)
@@ -440,12 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-mode", choices=("stratified", "subject"), default=None, dest="split_mode")
     _add_setting(p, "split_fraction")
     _add_common(p)
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("features", help="dump handcrafted descriptors to CSV")
     p.add_argument("--manifest", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train a classifier")
     p.add_argument("--train-manifest", required=True, dest="train_manifest")
@@ -458,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
             _add_setting(p, f.name)
     _add_setting(p, "dropout_p")
     _add_common(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or external predictions")
     p.add_argument("--test-manifest", required=True, dest="test_manifest")
@@ -469,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, dest="inference_mode")
     p.add_argument("--split-mode", choices=("stratified", "subject"), default=None, dest="split_mode")
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify one PGM image")
     p.add_argument("image")
@@ -478,15 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inference-mode", choices=("multicrop", "nearest-feature"),
                    default=None, dest="inference_mode")
     _add_common(p)
-    p.set_defaults(func=cmd_predict)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, so a cmd_* patched after the parser was built runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (PgmError, ManifestError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME

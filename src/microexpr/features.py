@@ -119,12 +119,12 @@ def lbp_code(window: np.ndarray) -> int:
 
 
 def _lbp_codes(px: np.ndarray) -> np.ndarray:
-    """Vectorized lbp_code over every interior pixel; shape (h-2, w-2)."""
+    """Vectorized lbp_code over every interior pixel; uint8, shape (h-2, w-2)."""
     h, w = px.shape
     center = px[1:-1, 1:-1]
-    codes = np.zeros((h - 2, w - 2), dtype=np.int64)
+    codes = np.zeros((h - 2, w - 2), dtype=np.uint8)
     for i, (r, c) in enumerate(LBP_OFFSETS):
-        codes |= (px[r : r + h - 2, c : c + w - 2] >= center).astype(np.int64) << i
+        codes |= (px[r : r + h - 2, c : c + w - 2] >= center).astype(np.uint8) << i
     return codes
 
 
@@ -133,6 +133,17 @@ def _cell_sizes(extent: int, cells: int) -> np.ndarray:
     sizes = np.full(cells, extent // cells)
     sizes[-1] += extent % cells
     return sizes
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_keys(h: int, w: int, grid_h: int, grid_w: int, stride: int) -> np.ndarray:
+    """Each element of an (h, w) array on the grid keyed by its row-major cell
+    index times stride.  Cached per shape, so the array is read-only."""
+    rows, cols = _cell_sizes(h, grid_h), _cell_sizes(w, grid_w)
+    keys = np.repeat(np.arange(grid_h), rows)[:, None] * grid_w + np.repeat(np.arange(grid_w), cols)
+    keys *= stride
+    keys.flags.writeable = False
+    return keys
 
 
 def lbp_histogram(img: GrayImage, grid_w: int, grid_h: int) -> FeatureDescriptor:
@@ -146,8 +157,8 @@ def lbp_histogram(img: GrayImage, grid_w: int, grid_h: int) -> FeatureDescriptor
     codes = _lbp_codes(img.pixels)
     rows, cols = _cell_sizes(codes.shape[0], grid_h), _cell_sizes(codes.shape[1], grid_w)
     # Each code is keyed by its row-major cell index and its value.
-    cell = np.repeat(np.arange(grid_h), rows)[:, None] * grid_w + np.repeat(np.arange(grid_w), cols)
-    counts = np.bincount((cell * 256 + codes).ravel(), minlength=grid_h * grid_w * 256)
+    keys = _cell_keys(*codes.shape, grid_h, grid_w, 256)
+    counts = np.bincount((keys + codes).ravel(), minlength=grid_h * grid_w * 256)
     # An empty cell has no counts, so dividing it by 1 leaves it all-zero.
     hists = counts.reshape(-1, 256) / np.maximum(np.outer(rows, cols).reshape(-1, 1), 1)
     layout = tuple((f"cell{k // grid_w}_{k % grid_w}", 256 * k, 256)
@@ -161,10 +172,11 @@ def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     if img.height < 3 or img.width < 3:
         raise ValueError("image must be at least 3x3")
     px = img.pixels
-    padded_x = np.pad(px, ((0, 0), (1, 1)), mode="edge")
-    padded_y = np.pad(px, ((1, 1), (0, 0)), mode="edge")
-    gx = padded_x[:, 2:] - padded_x[:, :-2]
-    gy = padded_y[2:, :] - padded_y[:-2, :]
+    gx, gy = np.empty_like(px), np.empty_like(px)
+    gx[:, 1:-1] = px[:, 2:] - px[:, :-2]
+    gx[:, [0, -1]] = px[:, [1, -1]] - px[:, [0, -2]]
+    gy[1:-1] = px[2:] - px[:-2]
+    gy[[0, -1]] = px[[1, -1]] - px[[0, -2]]
     return gx, gy
 
 
@@ -172,9 +184,10 @@ def gradient_polar(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Magnitude q = sqrt(gx^2+gy^2) and unsigned direction theta in [0, pi);
     zero-gradient pixels get theta 0 (their magnitude contributes nothing)."""
     q = np.hypot(gx, gy)
-    theta = np.mod(np.arctan2(gy, gx), np.pi)
-    theta = np.where(theta >= np.pi, 0.0, theta)
-    return q, np.where(q > 0, theta, 0.0)
+    theta = np.arctan2(gy, gx)
+    theta += np.pi * (theta < 0)  # np.mod(theta, pi) to the bit (-0.0 to +0.0) at 1/5 the cost
+    theta[(theta >= np.pi) | (q == 0)] = 0.0
+    return q, theta
 
 
 def hog_descriptor(img: GrayImage, cell: int, bins: int) -> FeatureDescriptor:
@@ -191,18 +204,21 @@ def hog_descriptor(img: GrayImage, cell: int, bins: int) -> FeatureDescriptor:
     cells_y, cells_x = img.height // cell, img.width // cell
     q, theta = q[: cells_y * cell, : cells_x * cell], theta[: cells_y * cell, : cells_x * cell]
 
-    bin_width = np.pi / bins
-    t = theta / bin_width - 0.5
+    t = theta / (np.pi / bins) - 0.5
     lower = np.floor(t).astype(np.int64)
     frac = t - lower
+    # theta lies in [0, pi), so lower lies in [-1, bins - 1]: wrap both neighbours.
+    upper = lower + 1
+    upper[upper >= bins] -= bins
+    lower[lower < 0] += bins
 
     # One vote pass per neighbour bin, keyed by (cell, bin).  bincount adds a
     # key's votes in row-major pixel order, the order of a cell-by-cell pass,
     # so every sum is the same to the bit.
     n = cells_y * cells_x * bins
-    key = np.arange(0, n, bins).reshape(cells_y, cells_x).repeat(cell, 0).repeat(cell, 1)
-    votes_lo = np.bincount((key + np.mod(lower, bins)).ravel(), (q * (1 - frac)).ravel(), n)
-    votes_hi = np.bincount((key + np.mod(lower + 1, bins)).ravel(), (q * frac).ravel(), n)
+    key = _cell_keys(cells_y * cell, cells_x * cell, cells_y, cells_x, bins)
+    votes_lo = np.bincount((key + lower).ravel(), (q * (1 - frac)).ravel(), n)
+    votes_hi = np.bincount((key + upper).ravel(), (q * frac).ravel(), n)
     hists = (votes_lo + votes_hi).reshape(cells_y, cells_x, bins)
 
     # Each 2x2 block concatenates its cells (0,0), (0,1), (1,0), (1,1);

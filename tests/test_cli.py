@@ -647,3 +647,15 @@ class TestBlasThreads:
 
     def test_user_setting_wins(self):
         assert self.thread_settings(OPENBLAS_NUM_THREADS="2") == "2,1,1"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_and_patched_command_runs(self, monkeypatch):
+        from microexpr import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args) or EXIT_OK)
+        assert main(["synth", "--classes", "3", "--seed", "4"]) == EXIT_OK
+        assert main(["synth"]) == EXIT_OK
+        assert [(a.classes, a.seed) for a in seen] == [(3, 4), (7, None)]

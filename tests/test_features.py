@@ -8,6 +8,7 @@ from microexpr.dataset import GrayImage, generate_synthetic
 from microexpr.features import (
     HOG_BLOCK_EPSILON,
     IMAGE_DESCRIPTOR_LENGTH,
+    REGIONS,
     FeatureDescriptor,
     _area_weights,
     _lbp_codes,
@@ -468,6 +469,77 @@ class TestHistogramParity:
         assert not weights.flags.writeable
         with pytest.raises(ValueError):
             weights[0, 0] = 1.0
+
+
+def formula_polar(px):
+    """gx, gy, q and theta as gradients and gradient_polar had them: edge
+    padding and np.mod."""
+    padded_x = np.pad(px, ((0, 0), (1, 1)), mode="edge")
+    padded_y = np.pad(px, ((1, 1), (0, 0)), mode="edge")
+    gx, gy = padded_x[:, 2:] - padded_x[:, :-2], padded_y[2:, :] - padded_y[:-2, :]
+    q = np.hypot(gx, gy)
+    theta = np.mod(np.arctan2(gy, gx), np.pi)
+    theta = np.where(theta >= np.pi, 0.0, theta)
+    return gx, gy, q, np.where(q > 0, theta, 0.0)
+
+
+def formula_reference_descriptor(px):
+    """image_descriptor from the formulas it had before its speed-ups:
+    formula_polar, np.mod for the bin wrap, int64 LBP codes and the cell keys
+    built on every call."""
+    parts = []
+    for (_, (w, h), (gw, gh)), region in zip(REGIONS, crop_regions(GrayImage(px)).values()):
+        r = region.pixels
+        codes = np.zeros((h - 2, w - 2), dtype=np.int64)
+        for i, (dy, dx) in enumerate(((1, 2), (0, 2), (0, 1), (0, 0), (1, 0), (2, 0), (2, 1), (2, 2))):
+            codes |= (r[dy : dy + h - 2, dx : dx + w - 2] >= r[1:-1, 1:-1]).astype(np.int64) << i
+        rows = np.full(gh, (h - 2) // gh)
+        rows[-1] += (h - 2) % gh
+        cols = np.full(gw, (w - 2) // gw)
+        cols[-1] += (w - 2) % gw
+        cell = np.repeat(np.arange(gh), rows)[:, None] * gw + np.repeat(np.arange(gw), cols)
+        counts = np.bincount((cell * 256 + codes).ravel(), minlength=gh * gw * 256)
+        parts.append(counts.reshape(-1, 256) / np.maximum(np.outer(rows, cols).reshape(-1, 1), 1))
+
+        _, _, q, theta = formula_polar(r)
+        cy, cx = h // 10, w // 10
+        q, theta = q[: cy * 10, : cx * 10], theta[: cy * 10, : cx * 10]
+        t = theta / (np.pi / 9) - 0.5
+        lower = np.floor(t).astype(np.int64)
+        frac = t - lower
+        n = cy * cx * 9
+        key = np.arange(0, n, 9).reshape(cy, cx).repeat(10, 0).repeat(10, 1)
+        votes_lo = np.bincount((key + np.mod(lower, 9)).ravel(), (q * (1 - frac)).ravel(), n)
+        votes_hi = np.bincount((key + np.mod(lower + 1, 9)).ravel(), (q * frac).ravel(), n)
+        hists = (votes_lo + votes_hi).reshape(cy, cx, 9)
+        blocks = np.concatenate((hists[:-1, :-1], hists[:-1, 1:], hists[1:, :-1], hists[1:, 1:]), -1)
+        norms = np.sqrt(np.vecdot(blocks, blocks) + HOG_BLOCK_EPSILON**2)
+        parts.append(blocks / norms[..., None])
+    return np.concatenate([p.ravel() for p in parts])
+
+
+class TestDescriptorFormulas:
+    def test_image_descriptor_bytes_match_formula_reference(self):
+        rng = np.random.default_rng(37)
+        # At 200x200 the face region is the image itself, so its gradients
+        # are exact: a falling ramp has gy = 0 and gx < 0 (theta = pi) at
+        # every pixel, and a flat block has zero gradients.
+        ramp = np.tile(np.linspace(1.0, 0.0, 200), (200, 1))
+        flat_block = rng.random((200, 200))
+        flat_block[40:120, 60:160] = 0.5
+        for px, kind in ((ramp, "theta = pi"), (flat_block, "zero gradient")):
+            gx, gy = gradients(GrayImage(px))
+            hits = (gy == 0) & (gx < 0) if kind == "theta = pi" else (gx == 0) & (gy == 0)
+            assert hits.sum() > 1000, kind
+        images = [ramp, flat_block, np.full((48, 48), 0.3), rng.random((48, 48)),
+                  rng.integers(0, 4, size=(48, 48)) / 3.0, rng.integers(0, 256, size=(61, 53)) / 255.0]
+        images += [s.image.pixels for s in generate_synthetic(classes=2, per_class=2, size=128, seed=38)[::2]]
+        for k, px in enumerate(images):
+            gx, gy = gradients(GrayImage(px))
+            for got, want in zip((gx, gy, *gradient_polar(gx, gy)), formula_polar(px)):
+                assert got.tobytes() == want.tobytes(), k
+            got = image_descriptor(GrayImage(px)).values
+            assert got.tobytes() == formula_reference_descriptor(px).tobytes(), k
 
 
 class TestDescriptorCsv:
