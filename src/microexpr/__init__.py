@@ -37,7 +37,6 @@ from .features import (
     crop_regions,
     handcrafted_descriptor,
     hog_descriptor,
-    lbp_code,
     lbp_histogram,
 )
 from .network import (
@@ -63,7 +62,6 @@ from .preprocess import (
 from .training import (
     TrainConfig,
     TrainLog,
-    augment,
     center_loss,
     cross_entropy,
     fine_tune,

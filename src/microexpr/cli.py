@@ -165,10 +165,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_synth(args) -> int:
     opts = _Options(args)
+    samples = dataset.generate_synthetic(args.classes, args.per_class, args.size, opts.seed)
     out = Path(opts.out)
     images_dir = out / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
-    samples = dataset.generate_synthetic(args.classes, args.per_class, args.size, opts.seed)
     class_names = _class_names_for(args.classes)
     rows = []
     for i, sample in enumerate(samples):
@@ -199,9 +199,6 @@ def cmd_preprocess(args) -> int:
     if not manifest.entries:
         raise ConfigError("manifest has no entries")
     params = opts.build(preprocess.HomomorphicParams)
-    out = Path(opts.out)
-    images_dir = out / "images"
-    images_dir.mkdir(parents=True, exist_ok=True)
 
     def process(entry):
         path, label, subject = entry
@@ -212,37 +209,36 @@ def cmd_preprocess(args) -> int:
         return entry, _preprocess_one(img, params), None
 
     skipped = 0
-    processed: list[tuple[tuple[str, str, str], GrayImage]] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.workers)) as pool:
-        for entry, img, err in pool.map(process, manifest.entries):
-            if err is not None:
-                skipped += 1
-                print(f"warning: skipping {entry[0]}: {err}", file=sys.stderr)
-                continue
-            processed.append((entry, img))
-
     rows = []
     samples = []
-    for (path, label, subject), img in processed:
-        name = Path(path).stem + ".pgm"
-        (images_dir / name).write_bytes(dataset.encode_pgm(img))
-        rows.append((f"images/{name}", label, subject))
-        samples.append(LabeledSample(img, manifest.label_index(label), subject))
-    _write_manifest_csv(out / "manifest.csv", rows, manifest.class_names)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.workers)) as pool:
+        for (path, label, subject), img, err in pool.map(process, manifest.entries):
+            if err is not None:
+                skipped += 1
+                print(f"warning: skipping {path}: {err}", file=sys.stderr)
+                continue
+            rows.append((f"images/{Path(path).stem}.pgm", label, subject))
+            samples.append(LabeledSample(img, manifest.label_index(label), subject))
 
-    indexed = list(zip(samples, rows))
-    train_part, test_part = dataset.split(
+    # Split and fit before the first write, so a refused split leaves nothing.
+    train_part, _ = dataset.split(
         samples, opts.split_fraction, opts.seed, by_subject=opts.split_mode == "subject"
     )
     train_ids = {id(s) for s in train_part}
-    train_rows = [row for s, row in indexed if id(s) in train_ids]
-    test_rows = [row for s, row in indexed if id(s) not in train_ids]
+    normalized = [preprocess.normalize_per_image(s.image) for s in train_part]
+    stats = preprocess.fit_pixel_stats(normalized)
+
+    out = Path(opts.out)
+    (out / "images").mkdir(parents=True, exist_ok=True)
+    for (name, _, _), sample in zip(rows, samples):
+        (out / name).write_bytes(dataset.encode_pgm(sample.image))
+    _write_manifest_csv(out / "manifest.csv", rows, manifest.class_names)
+    train_rows = [row for s, row in zip(samples, rows) if id(s) in train_ids]
+    test_rows = [row for s, row in zip(samples, rows) if id(s) not in train_ids]
     _write_manifest_csv(out / "train.csv", train_rows, manifest.class_names)
     _write_manifest_csv(out / "test.csv", test_rows, manifest.class_names)
-
-    normalized = [preprocess.normalize_per_image(s.image) for s in train_part]
-    save_pixel_stats(out / "pixel_stats.bin", preprocess.fit_pixel_stats(normalized))
-    print(f"preprocessed {len(processed)} images ({len(train_rows)} train / {len(test_rows)} test)")
+    save_pixel_stats(out / "pixel_stats.bin", stats)
+    print(f"preprocessed {len(samples)} images ({len(train_rows)} train / {len(test_rows)} test)")
     if skipped:
         print(f"error: {skipped} file(s) skipped", file=sys.stderr)
         return EXIT_RUNTIME
@@ -253,13 +249,15 @@ def cmd_features(args) -> int:
     opts = _Options(args)
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    if not manifest.entries:
+        raise ConfigError("manifest has no entries")
     samples = _load_samples(manifest_path, manifest)
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.workers)) as pool:
         descriptors = list(pool.map(lambda s: features.image_descriptor(s.image), samples))
     labels = [manifest.class_names[s.label] for s in samples]
+    # Made only now, so a refused manifest or image leaves no directory.
+    out = Path(opts.out)
+    out.mkdir(parents=True, exist_ok=True)
     features.write_descriptor_csv(out / "descriptors.csv", descriptors, labels)
     print(f"wrote {len(descriptors)} descriptors -> {out / 'descriptors.csv'}")
     return EXIT_OK

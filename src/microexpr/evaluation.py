@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .dataset import GrayImage, Manifest, ManifestError
-from .network import FusionArch, ModelState, forward, model_dtype, softmax
+from .network import ModelState, forward, model_dtype, softmax
 from .preprocess import PREPARED_SIZE
 from .training import model_input
 
@@ -143,20 +143,20 @@ def mae(true, pred) -> float:
 # Inference
 
 
-def _check_source(px: np.ndarray) -> None:
+def _view_origins(px: np.ndarray, window: int) -> tuple[tuple[int, int], ...]:
+    """Top-left (y, x) of the five window x window test views of a 48x48
+    image: the four corners, then the center."""
     if px.shape != (PREPARED_SIZE, PREPARED_SIZE):
         raise ValueError(f"expected {PREPARED_SIZE}x{PREPARED_SIZE} image")
-
-
-def multicrop_batch(px: np.ndarray) -> np.ndarray:
-    """The ten 42x42 test views of a 48x48 image: four corners plus center,
-    then the same five mirrored; shape (10, 42, 42)."""
-    _check_source(px)
-    window = FusionArch.input_size
     margin = PREPARED_SIZE - window
     center = margin // 2
-    offsets = ((0, 0), (0, margin), (margin, 0), (margin, margin), (center, center))
-    crops = [px[y : y + window, x : x + window] for y, x in offsets]
+    return ((0, 0), (0, margin), (margin, 0), (margin, margin), (center, center))
+
+
+def multicrop_batch(px: np.ndarray, window: int) -> np.ndarray:
+    """The ten window x window test views of a 48x48 image: the five of
+    _view_origins, then the same five mirrored; shape (10, window, window)."""
+    crops = [px[y : y + window, x : x + window] for y, x in _view_origins(px, window)]
     crops += [c[:, ::-1] for c in crops]
     return np.stack(crops)
 
@@ -173,7 +173,8 @@ def multicrop_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarra
     architecture."""
     if model.arch.kind != "fusion":
         raise ValueError("multicrop prediction requires the fusion architecture")
-    views = multicrop_batch(model_input(model, img)).astype(model_dtype(model))
+    views = multicrop_batch(model_input(model, img), model.arch.input_size)
+    views = views.astype(model_dtype(model))
     logits, _, _ = forward(model, views, "eval")
     return _decide(softmax(logits).mean(axis=0))
 
@@ -181,13 +182,12 @@ def multicrop_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarra
 def _feature_input(model: ModelState, img: GrayImage) -> np.ndarray:
     """The center crop (view 4 of multicrop_batch) for the fusion CNN, the
     whole descriptor row for descriptor models."""
-    x = model_input(model, img)
+    px = model_input(model, img)
     if model.arch.kind != "fusion":
-        return x
-    _check_source(x)
-    window = FusionArch.input_size
-    start = (PREPARED_SIZE - window) // 2
-    return x[start : start + window, start : start + window]
+        return px
+    window = model.arch.input_size
+    y, x = _view_origins(px, window)[4]
+    return px[y : y + window, x : x + window]
 
 
 def extract_features(model: ModelState, img: GrayImage) -> np.ndarray:

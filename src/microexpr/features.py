@@ -48,12 +48,6 @@ class FeatureDescriptor:
         if expected != values.size:
             raise ValueError(f"layout covers {expected} values, vector has {values.size}")
 
-    def segment(self, name: str) -> np.ndarray:
-        for seg_name, offset, length in self.layout:
-            if seg_name == name:
-                return self.values[offset : offset + length]
-        raise KeyError(name)
-
 
 # The width of every image_descriptor row, the mlp-handcrafted input size:
 # per region, 256 LBP bins per grid cell plus HOG_BINS for each of the four
@@ -105,21 +99,9 @@ def crop_regions(face: GrayImage) -> dict[str, GrayImage]:
     return {name: avg_pool_resize(GrayImage(source[name]), *size) for name, size, _ in REGIONS}
 
 
-def lbp_code(window: np.ndarray) -> int:
-    """8-bit code of a 3x3 window: bit i set when neighbor i >= center."""
-    w = np.asarray(window, dtype=np.float64).reshape(3, 3)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("window contains non-finite values")
-    center = w[1, 1]
-    code = 0
-    for i, (r, c) in enumerate(LBP_OFFSETS):
-        if w[r, c] >= center:
-            code |= 1 << i
-    return code
-
-
 def _lbp_codes(px: np.ndarray) -> np.ndarray:
-    """Vectorized lbp_code over every interior pixel; uint8, shape (h-2, w-2)."""
+    """8-bit LBP code of every interior pixel, bit i set when neighbor i >= the
+    center; uint8, shape (h-2, w-2)."""
     h, w = px.shape
     center = px[1:-1, 1:-1]
     codes = np.zeros((h - 2, w - 2), dtype=np.uint8)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .preprocess import PixelStats
+from .preprocess import PREPARED_SIZE, PixelStats
 from .rng import STREAM_INIT, substream
 
 TENSOR_MAGIC = b"MFETENSOR1\n"
@@ -183,7 +183,12 @@ def he_std(n_input: int) -> float:
 @dataclass(frozen=True)
 class FusionArch:
     """Three convolutional branches over in-network eye/face/mouth crops,
-    fused pairwise through two dense stages into the final feature vector."""
+    fused pairwise through two dense stages into the final feature vector.
+
+    input_size and crop_rows set the network window: the input_size square
+    that augmentation, multicrop and nearest-feature cut from a prepared
+    image (so at most PREPARED_SIZE), and the eye and mouth rows taken
+    from its top and bottom."""
 
     classes: int
     input_size: int = 42
@@ -201,6 +206,8 @@ class FusionArch:
             raise ValueError("need at least 2 classes")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0,1)")
+        if self.input_size > PREPARED_SIZE:
+            raise ValueError(f"input_size must be at most {PREPARED_SIZE}")
         if self.crop_rows * 3 > self.input_size * 2:
             raise ValueError("crop_rows too large for input_size")
         for name, size in self._branch_inputs():

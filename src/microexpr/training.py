@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import GrayImage, LabeledSample
 from .features import image_descriptor
-from .network import FusionArch, ModelState, backward, forward, model_dtype, save_checkpoint, softmax
+from .network import ModelState, backward, forward, model_dtype, save_checkpoint, softmax
 from .preprocess import (
     PREPARED_SIZE,
     apply_pixel_stats,
@@ -31,7 +31,6 @@ from .preprocess import (
 )
 from .rng import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_SHUFFLE, substream
 
-AUGMENT_MAX_SCALE = 54
 AUGMENT_MAX_ANGLE = 45.0
 
 # A plateau means no absolute improvement of at least this much over the best
@@ -125,21 +124,22 @@ class AugmentParams:
     crop_x: int
 
 
-def draw_augment_params(rng) -> AugmentParams:
-    """Sample the transform chain: mirror coin, rotation angle, rescale size,
-    then the crop offsets (whose range depends on the size)."""
+def draw_augment_params(rng, window: int) -> AugmentParams:
+    """Sample the transform chain: mirror coin, rotation angle, rescale size
+    in [window, 2 * PREPARED_SIZE - window], then the crop offsets (whose
+    range depends on the size)."""
     mirror = bool(rng.random() < 0.5)
     angle = float(rng.uniform(-AUGMENT_MAX_ANGLE, AUGMENT_MAX_ANGLE))
-    size = int(rng.integers(FusionArch.input_size, AUGMENT_MAX_SCALE + 1))
-    max_off = size - FusionArch.input_size
+    size = int(rng.integers(window, 2 * PREPARED_SIZE - window + 1))
+    max_off = size - window
     crop_y = int(rng.integers(0, max_off + 1))
     crop_x = int(rng.integers(0, max_off + 1))
     return AugmentParams(mirror, angle, size, crop_y, crop_x)
 
 
-def apply_augment(img: GrayImage, p: AugmentParams) -> GrayImage:
+def apply_augment(img: GrayImage, p: AugmentParams, window: int) -> GrayImage:
     """Mirror, rotate (bilinear, edge fill), rescale to size x size (bilinear),
-    crop to the network's input_size training window, in that order."""
+    crop to the window x window network input, in that order."""
     if (img.height, img.width) != (PREPARED_SIZE, PREPARED_SIZE):
         raise ValueError(f"augment expects {PREPARED_SIZE}x{PREPARED_SIZE} input")
     px = img.pixels
@@ -147,13 +147,8 @@ def apply_augment(img: GrayImage, p: AugmentParams) -> GrayImage:
         px = px[:, ::-1]
     px = rotate_bilinear(px, p.angle_deg)
     px = bilinear_resize(px, p.size, p.size)
-    out = FusionArch.input_size
-    px = px[p.crop_y : p.crop_y + out, p.crop_x : p.crop_x + out]
+    px = px[p.crop_y : p.crop_y + window, p.crop_x : p.crop_x + window]
     return GrayImage(px.copy())
-
-
-def augment(img: GrayImage, rng) -> GrayImage:
-    return apply_augment(img, draw_augment_params(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +367,7 @@ def train(
         raise ValueError(f"training images must be {PREPARED_SIZE}x{PREPARED_SIZE}")
     n = len(samples)
     dtype = model_dtype(model)
+    window = model.arch.input_size
 
     def make_batch(epoch, idx):
         return np.stack(
@@ -379,8 +375,9 @@ def train(
                 apply_augment(
                     GrayImage(prepared[i]),
                     draw_augment_params(
-                        substream(cfg.seed, STREAM_AUGMENT, epoch * n + int(i))
+                        substream(cfg.seed, STREAM_AUGMENT, epoch * n + int(i)), window
                     ),
+                    window,
                 ).pixels
                 for i in idx
             ]

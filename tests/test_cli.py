@@ -335,7 +335,7 @@ class TestPipeline:
         monkeypatch.setattr(training, "forward", recording_forward)
         monkeypatch.setattr(evaluation, "forward", recording_forward)
         monkeypatch.setattr(training, "apply_augment",
-                            lambda img, p: GrayImage(img.pixels[3:45, 3:45]))
+                            lambda img, p, window: GrayImage(img.pixels[3:45, 3:45]))
         assert main(["train", "--train-manifest", str(work / "train.csv"),
                      "--stats", str(work / "pixel_stats.bin"), "--profile", profile,
                      "--max-epochs", "1", "--seed", "2", "--out", str(run)]) == EXIT_OK
@@ -464,6 +464,12 @@ class TestExitCodes:
         ckpt.write_bytes(corrupt(ckpt.read_bytes()))
         assert main(["predict", str(image), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
+
+    def test_window_beyond_prepared_image_is_validation_error(self, tmp_path, capsys):
+        ckpt, image = untrained_model(tmp_path)
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"input_size=42", b"input_size=60", 1))
+        assert main(["predict", str(image), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
+        assert "error: input_size must be at most 48" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval-multicrop", "eval-nearest", "predict"])
     def test_non_finite_checkpoint_is_validation_error(self, tmp_path, capsys, command):
@@ -599,6 +605,39 @@ class TestExitCodes:
                    "--checkpoint-every", "1", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "training images must be 48x48" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refused_synth_leaves_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "1", "--out", str(out)]) == EXIT_VALIDATION
+        assert "need at least 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows,code,message", [
+        ("", EXIT_VALIDATION, "manifest has no entries"),
+        ("missing.pgm,A,s1\n", EXIT_RUNTIME, "missing.pgm"),
+    ], ids=["header-only", "missing-image"])
+    def test_refused_features_leaves_no_out_directory(self, tmp_path, capsys, rows, code,
+                                                      message):
+        manifest = tmp_path / "man.csv"
+        manifest.write_text("path,label,subject\n" + rows)
+        out = tmp_path / "out"
+        assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refused_split_leaves_no_out_directory(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        rows = []
+        for i, label in enumerate("AAAB"):
+            (tmp_path / f"f{i}.pgm").write_bytes(encode_pgm(GrayImage(rng.random((20, 20)))))
+            rows.append(f"f{i}.pgm,{label},s{i}")
+        manifest = tmp_path / "man.csv"
+        manifest.write_text("path,label,subject\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        rc = main(["preprocess", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "class 1 has 1 sample(s)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_manifest_is_validation_error(self, tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from microexpr.dataset import GrayImage, Manifest, ManifestError
+from microexpr.dataset import GrayImage, Manifest, ManifestError, generate_synthetic
 from microexpr.evaluation import (
     GALLERY_CHUNK,
     ConfusionMatrix,
@@ -21,7 +21,16 @@ from microexpr.evaluation import (
     report_to_json,
     single_predict,
 )
-from microexpr.network import FusionArch, MlpArch, forward, init_model, softmax
+from microexpr.network import (
+    FusionArch,
+    MlpArch,
+    forward,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+    softmax,
+)
+from microexpr.training import TrainConfig, train
 
 CLASS3 = ("a", "b", "c")
 
@@ -156,7 +165,7 @@ class TestMae:
 class TestMulticrop:
     def test_batch_layout(self):
         px = np.arange(48 * 48, dtype=float).reshape(48, 48)
-        views = multicrop_batch(px)
+        views = multicrop_batch(px, 42)
         assert views.shape == (10, 42, 42)
         assert np.array_equal(views[0], px[0:42, 0:42])
         assert np.array_equal(views[1], px[0:42, 6:48])
@@ -164,12 +173,20 @@ class TestMulticrop:
         for k in range(5):
             assert np.array_equal(views[5 + k], views[k][:, ::-1])
 
+    def test_views_follow_the_window(self):
+        px = np.arange(48 * 48, dtype=float).reshape(48, 48)
+        views = multicrop_batch(px, 16)
+        assert views.shape == (10, 16, 16)
+        for k, (y, x) in enumerate([(0, 0), (0, 32), (32, 0), (32, 32), (16, 16)]):
+            assert np.array_equal(views[k], px[y : y + 16, x : x + 16])
+            assert np.array_equal(views[5 + k], views[k][:, ::-1])
+
     def test_symmetric_input_mirror_partners_agree(self):
         rng = np.random.default_rng(5)
         half = rng.random((48, 24))
         sym = np.concatenate([half, half[:, ::-1]], axis=1)
         model = fusion_model(seed=6)
-        views = multicrop_batch(sym)
+        views = multicrop_batch(sym, 42)
         logits, _, _ = forward(model, views, "eval")
         probs = softmax(logits)
         # mirror of crop (y,x) equals the plain crop at the opposite x.
@@ -304,6 +321,33 @@ class TestGallery:
         features[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             nearest_feature_predict(model, GrayImage(np.zeros((48, 48))), (features, labels))
+
+
+class TestArchWindow:
+    def test_small_window_trains_serves_and_round_trips(self, tmp_path):
+        """A 16x16-window arch trains on and serves 48x48 images, and its
+        reloaded checkpoint predicts the same."""
+        arch = FusionArch(classes=3, input_size=16, crop_rows=10, conv1_channels=2,
+                          conv2_channels=3, branch_units=8, fusion_units=6)
+        model = init_model(arch, CLASS3, seed=1, dtype=np.float32)
+        samples = generate_synthetic(3, 4, 48, 5)
+        model, log = train(model, samples, TrainConfig(batch_size=8, max_epochs=3, seed=2))
+        assert len(log.records) == 3
+        images = [s.image for s in samples]
+
+        def serve(m):
+            gallery = build_gallery(m, images, [s.label for s in samples])
+            return ([single_predict(m, img) for img in images],
+                    [nearest_feature_predict(m, img, gallery) for img in images])
+
+        softmax_preds, nearest = serve(model)
+        # The gallery and the query crop the same view of each image.
+        assert [d for _, d in nearest] == [0.0] * len(images)
+        save_checkpoint(tmp_path / "tiny.ckpt", model)
+        reloaded_softmax, reloaded_nearest = serve(load_checkpoint(tmp_path / "tiny.ckpt"))
+        assert reloaded_nearest == nearest
+        for (label, probs), (again, again_probs) in zip(softmax_preds, reloaded_softmax):
+            assert label == again and np.array_equal(probs, again_probs)
 
 
 class TestSinglePredictMlp:

@@ -19,7 +19,6 @@ from microexpr.features import (
     handcrafted_descriptor,
     hog_descriptor,
     image_descriptor,
-    lbp_code,
     lbp_histogram,
     write_descriptor_csv,
 )
@@ -41,6 +40,14 @@ def oracle_lbp(window):
         if w[r, c] - w[1, 1] >= 0:
             total += 2**i
     return total
+
+
+def segment(desc, name):
+    """The values of the named segment of a FeatureDescriptor's layout."""
+    for seg_name, offset, length in desc.layout:
+        if seg_name == name:
+            return desc.values[offset : offset + length]
+    raise KeyError(name)
 
 
 def oracle_area_resize(px, out_w, out_h):
@@ -136,29 +143,29 @@ class TestLbpCode:
     def test_worked_example(self):
         # Center 5, neighbors (east, counter-clockwise) 6,4,5,3,7,2,8,1.
         window = np.array([[3.0, 5.0, 4.0], [7.0, 5.0, 6.0], [2.0, 8.0, 1.0]])
-        assert lbp_code(window) == 85
+        assert _lbp_codes(window)[0, 0] == 85
         assert oracle_lbp(window) == 85
 
     def test_all_equal_gives_255(self):
-        assert lbp_code(np.full((3, 3), 0.3)) == 255
+        assert _lbp_codes(np.full((3, 3), 0.3))[0, 0] == 255
 
     def test_all_below_center_gives_0(self):
         window = np.zeros((3, 3))
         window[1, 1] = 1.0
-        assert lbp_code(window) == 0
+        assert _lbp_codes(window)[0, 0] == 0
 
     def test_matches_oracle_on_random_windows(self):
         rng = np.random.default_rng(6)
         for _ in range(10_000):
             window = rng.random((3, 3))
-            assert lbp_code(window) == oracle_lbp(window)
+            assert _lbp_codes(window)[0, 0] == oracle_lbp(window)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             window = rng.random((3, 3))
             transformed = np.exp(2.0 * window) + 1.0  # strictly increasing
-            assert lbp_code(window) == lbp_code(transformed)
+            assert _lbp_codes(window)[0, 0] == _lbp_codes(transformed)[0, 0]
 
 
 class TestLbpHistogram:
@@ -314,11 +321,11 @@ class TestHandcraftedDescriptor:
         }
         desc = handcrafted_descriptor(regions)
         for region in ("eyes", "face", "mouth"):
-            lbp = desc.segment(f"{region}.lbp").reshape(-1, 256)
+            lbp = segment(desc, f"{region}.lbp").reshape(-1, 256)
             assert np.array_equal(lbp[:, 255], np.ones(len(lbp)))
             assert lbp.sum() == len(lbp)
-            assert np.array_equal(desc.segment(f"{region}.hog"),
-                                  np.zeros_like(desc.segment(f"{region}.hog")))
+            assert np.array_equal(segment(desc, f"{region}.hog"),
+                                  np.zeros_like(segment(desc, f"{region}.hog")))
 
 
     def test_regions_keyed_in_table_order(self):
@@ -344,9 +351,9 @@ class TestFeatureDescriptor:
 
     def test_segment_lookup(self):
         desc = FeatureDescriptor(np.arange(5.0), (("a", 0, 2), ("b", 2, 3)))
-        assert desc.segment("b").tolist() == [2.0, 3.0, 4.0]
+        assert segment(desc, "b").tolist() == [2.0, 3.0, 4.0]
         with pytest.raises(KeyError):
-            desc.segment("c")
+            segment(desc, "c")
 
 
 def reference_lbp_histogram(px, grid_w, grid_h):

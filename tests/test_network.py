@@ -177,6 +177,11 @@ class TestForwardContract:
         with pytest.raises(ValueError, match="batch shape"):
             forward(model, np.zeros((2, 12, 12)), "eval")
 
+    def test_window_larger_than_prepared_image_refused(self):
+        assert FusionArch(classes=3, input_size=48).input_size == 48
+        with pytest.raises(ValueError, match="input_size must be at most 48"):
+            FusionArch(classes=3, input_size=49)
+
 
 class TestRowwiseEval:
     """An eval-rowwise forward gives each item the bits of its batch-1 eval

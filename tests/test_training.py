@@ -31,7 +31,6 @@ from microexpr.training import (
     TrainLog,
     EpochRecord,
     apply_augment,
-    augment,
     center_loss,
     cross_entropy,
     cross_entropy_grad_logits,
@@ -47,7 +46,7 @@ from microexpr.training import (
 
 CLASS3 = ("a", "b", "c")
 
-# Small-but-real trainer arch: 42x42 input so the augmentation chain applies.
+# Small-but-real trainer arch at the default 42x42 window.
 SMALL_ARCH = dict(classes=3, conv1_channels=4, conv2_channels=8,
                   branch_units=32, fusion_units=32)
 
@@ -61,19 +60,19 @@ class TestAugment:
         rng = substream(0, 1)
         img = GrayImage(np.random.default_rng(0).random((48, 48)))
         for _ in range(200):
-            out = augment(img, rng)
+            out = apply_augment(img, draw_augment_params(rng, 42), 42)
             assert (out.height, out.width) == (42, 42)
 
     def test_identity_path_is_pure_downscale(self):
         px = np.random.default_rng(1).random((48, 48))
         out = apply_augment(
-            GrayImage(px), AugmentParams(False, 0.0, 42, 0, 0)
+            GrayImage(px), AugmentParams(False, 0.0, 42, 0, 0), 42
         )
         assert np.array_equal(out.pixels, bilinear_resize(px, 42, 42))
 
     def test_draw_statistics(self):
         rng = substream(7, 2)
-        params = [draw_augment_params(rng) for _ in range(10_000)]
+        params = [draw_augment_params(rng, 42) for _ in range(10_000)]
         mirror_rate = np.mean([p.mirror for p in params])
         assert 0.48 <= mirror_rate <= 0.52
         angles = np.array([p.angle_deg for p in params])
@@ -86,18 +85,33 @@ class TestAugment:
     def test_crop_offsets_within_bounds(self):
         rng = substream(3, 3)
         for _ in range(2000):
-            p = draw_augment_params(rng)
+            p = draw_augment_params(rng, 42)
             assert 0 <= p.crop_y <= p.size - 42
             assert 0 <= p.crop_x <= p.size - 42
 
+    def test_draw_and_crop_follow_the_window(self):
+        rng = substream(3, 4)
+        img = GrayImage(np.random.default_rng(4).random((48, 48)))
+        sizes = set()
+        for _ in range(5000):
+            p = draw_augment_params(rng, 16)
+            sizes.add(p.size)
+            assert 0 <= p.crop_y <= p.size - 16
+            assert 0 <= p.crop_x <= p.size - 16
+        assert min(sizes) == 16 and max(sizes) == 80
+        for _ in range(20):
+            out = apply_augment(img, draw_augment_params(rng, 16), 16)
+            assert (out.height, out.width) == (16, 16)
+
     def test_wrong_input_size_rejected(self):
         with pytest.raises(ValueError, match="48x48"):
-            augment(GrayImage(np.zeros((42, 42))), substream(0, 0))
+            apply_augment(GrayImage(np.zeros((42, 42))),
+                          draw_augment_params(substream(0, 0), 42), 42)
 
     def test_mirror_only_flips(self):
         px = np.random.default_rng(2).random((48, 48))
-        out = apply_augment(GrayImage(px), AugmentParams(True, 0.0, 42, 0, 0))
-        ref = apply_augment(GrayImage(px[:, ::-1]), AugmentParams(False, 0.0, 42, 0, 0))
+        out = apply_augment(GrayImage(px), AugmentParams(True, 0.0, 42, 0, 0), 42)
+        ref = apply_augment(GrayImage(px[:, ::-1]), AugmentParams(False, 0.0, 42, 0, 0), 42)
         assert np.array_equal(out.pixels, ref.pixels)
 
 
@@ -406,7 +420,8 @@ class TestTrainLoop:
                 batch = np.stack([
                     apply_augment(
                         GrayImage(prepared[i]),
-                        draw_augment_params(substream(cfg.seed, STREAM_AUGMENT, epoch * n + int(i))),
+                        draw_augment_params(substream(cfg.seed, STREAM_AUGMENT, epoch * n + int(i)), 42),
+                        42,
                     ).pixels
                     for i in idx
                 ])
