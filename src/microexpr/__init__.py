@@ -32,7 +32,6 @@ from .evaluation import (
     nearest_feature_predict,
 )
 from .features import (
-    FeatureDescriptor,
     avg_pool_resize,
     crop_regions,
     handcrafted_descriptor,

@@ -36,13 +36,19 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config handling
 
+# The values a mode setting may take, checked for flags and config files
+# alike; the first is the default.
+SETTING_CHOICES: dict[str, tuple[str, ...]] = {
+    "profile": ("cnn-fusion", "mlp-handcrafted"),
+    "inference_mode": ("multicrop", "nearest-feature"),
+    "split_mode": ("stratified", "subject"),
+}
+
 # Every field of the settings classes (seed is TrainConfig's) takes its
 # default, and so its option type, from its class; dropout_p from the archs.
 CONFIG_DEFAULTS: dict[str, object] = {
     "workers": 1,
-    "profile": "cnn-fusion",
-    "inference_mode": "multicrop",
-    "split_mode": "stratified",
+    **{key: choices[0] for key, choices in SETTING_CHOICES.items()},
     "split_fraction": 0.2,
     "dropout_p": network.FusionArch.dropout_p,
     **{f.name: f.default for settings in (preprocess.HomomorphicParams, training.TrainConfig)
@@ -69,13 +75,16 @@ def resolve_option(name: str, flag_value, file_values: dict[str, str]):
     if flag_value is not None:
         return flag_value
     default = CONFIG_DEFAULTS[name]
-    if name in file_values:
-        raw = file_values[name]
-        try:
-            return type(default)(raw)
-        except ValueError as err:
-            raise ConfigError(f"config key {name}: {err}") from err
-    return default
+    if name not in file_values:
+        return default
+    raw = file_values[name]
+    try:
+        value = type(default)(raw)
+    except ValueError as err:
+        raise ConfigError(f"config key {name}: {err}") from err
+    if name in SETTING_CHOICES and value not in SETTING_CHOICES[name]:
+        raise ConfigError(f"config key {name}: {raw!r} is not one of {SETTING_CHOICES[name]}")
+    return value
 
 
 class _Options:
@@ -150,14 +159,15 @@ def cmd_ingest(args) -> int:
     src = Path(args.directory)
     if not src.is_dir():
         raise ConfigError(f"not a directory: {src}")
-    out = Path(opts.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for path in sorted(src.glob("*.pgm")):
         label_idx, subject = dataset.parse_jaffe_name(path.name, dataset.JAFFE_CLASS_NAMES)
         rows.append((str(path.resolve()), dataset.JAFFE_CLASS_NAMES[label_idx], subject))
     if not rows:
         raise ConfigError(f"no .pgm files with JAFFE-style names under {src}")
+    # Made only now, so a refused directory leaves no output.
+    out = Path(opts.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_manifest_csv(out / "manifest.csv", rows, dataset.JAFFE_CLASS_NAMES)
     print(f"ingested {len(rows)} images -> {out / 'manifest.csv'}")
     return EXIT_OK
@@ -194,10 +204,20 @@ def cmd_preprocess(args) -> int:
     # NaN fails the comparison too; checked before any image is read.
     if not 0.0 < opts.split_fraction < 1.0:
         raise ConfigError(f"split_fraction must lie in (0, 1), got {opts.split_fraction}")
+    by_subject = opts.split_mode == "subject"
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
     if not manifest.entries:
         raise ConfigError("manifest has no entries")
+    # Output name -> entry path, in manifest order.  Images are named by stem
+    # alone, so two entries sharing one would overwrite each other.
+    names: dict[str, str] = {}
+    for path, _, _ in manifest.entries:
+        name = f"images/{Path(path).stem}.pgm"
+        if name in names:
+            raise ConfigError(f"manifest entries {names[name]} and {path} would both "
+                              f"be written to {name}")
+        names[name] = path
     params = opts.build(preprocess.HomomorphicParams)
 
     def process(entry):
@@ -212,18 +232,17 @@ def cmd_preprocess(args) -> int:
     rows = []
     samples = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.workers)) as pool:
-        for (path, label, subject), img, err in pool.map(process, manifest.entries):
+        results = pool.map(process, manifest.entries)
+        for name, ((path, label, subject), img, err) in zip(names, results):
             if err is not None:
                 skipped += 1
                 print(f"warning: skipping {path}: {err}", file=sys.stderr)
                 continue
-            rows.append((f"images/{Path(path).stem}.pgm", label, subject))
+            rows.append((name, label, subject))
             samples.append(LabeledSample(img, manifest.label_index(label), subject))
 
     # Split and fit before the first write, so a refused split leaves nothing.
-    train_part, _ = dataset.split(
-        samples, opts.split_fraction, opts.seed, by_subject=opts.split_mode == "subject"
-    )
+    train_part, _ = dataset.split(samples, opts.split_fraction, opts.seed, by_subject=by_subject)
     train_ids = {id(s) for s in train_part}
     normalized = [preprocess.normalize_per_image(s.image) for s in train_part]
     stats = preprocess.fit_pixel_stats(normalized)
@@ -268,8 +287,6 @@ def cmd_train(args) -> int:
     cfg = opts.build(training.TrainConfig)
     if opts.max_epochs < 1:
         raise ConfigError("max_epochs must be at least 1 for training")
-    if opts.profile not in ("cnn-fusion", "mlp-handcrafted"):
-        raise ConfigError(f"unknown profile {opts.profile!r}")
     manifest_path = Path(args.train_manifest)
     manifest = _read_manifest_file(manifest_path)
     # The checkpoint stores class names as one ASCII, comma-separated line.
@@ -325,17 +342,15 @@ def _predict(model, images, mode, gallery_manifest) -> list[tuple[int, float]]:
     if mode == "multicrop":
         predictions = [evaluation.single_predict(model, img) for img in images]
         return [(label, float(probs[label])) for label, probs in predictions]
-    if mode == "nearest-feature":
-        if not gallery_manifest:
-            raise ConfigError("nearest-feature mode needs --gallery-manifest")
-        gpath = Path(gallery_manifest)
-        gallery_entries = _read_manifest_file(gpath)
-        _require_classes(model, gallery_entries, "gallery manifest")
-        samples = _load_samples(gpath, gallery_entries)
-        gallery = evaluation.build_gallery(model, [s.image for s in samples],
-                                           [s.label for s in samples])
-        return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
-    raise ConfigError(f"unknown inference mode {mode!r}")
+    if not gallery_manifest:
+        raise ConfigError("nearest-feature mode needs --gallery-manifest")
+    gpath = Path(gallery_manifest)
+    gallery_entries = _read_manifest_file(gpath)
+    _require_classes(model, gallery_entries, "gallery manifest")
+    samples = _load_samples(gpath, gallery_entries)
+    gallery = evaluation.build_gallery(model, [s.image for s in samples],
+                                       [s.label for s in samples])
+    return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
 
 
 def cmd_eval(args) -> int:
@@ -404,7 +419,7 @@ def cmd_predict(args) -> int:
 
 def _add_setting(parser: argparse.ArgumentParser, key: str) -> None:
     parser.add_argument(f"--{key.replace('_', '-')}", type=type(CONFIG_DEFAULTS[key]),
-                        default=None, dest=key)
+                        choices=SETTING_CHOICES.get(key), default=None, dest=key)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -435,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     for f in dataclasses.fields(preprocess.HomomorphicParams):
         _add_setting(p, f.name)
-    p.add_argument("--split-mode", choices=("stratified", "subject"), default=None, dest="split_mode")
-    _add_setting(p, "split_fraction")
+    for key in ("split_mode", "split_fraction"):
+        _add_setting(p, key)
     _add_common(p)
 
     p = sub.add_parser("features", help="dump handcrafted descriptors to CSV")
@@ -446,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier")
     p.add_argument("--train-manifest", required=True, dest="train_manifest")
     p.add_argument("--stats", help="pixel statistics file from preprocess")
-    p.add_argument("--profile", choices=("cnn-fusion", "mlp-handcrafted"), default=None)
+    _add_setting(p, "profile")
     p.add_argument("--checkpoint-every", type=int, default=0, dest="checkpoint_every",
                    help="also write an epoch-tagged checkpoint every N epochs")
     for f in dataclasses.fields(training.TrainConfig):
@@ -460,17 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--predictions", help="external path,predicted_label CSV (no model)")
     p.add_argument("--gallery-manifest", dest="gallery_manifest")
-    p.add_argument("--inference-mode", choices=("multicrop", "nearest-feature"),
-                   default=None, dest="inference_mode")
-    p.add_argument("--split-mode", choices=("stratified", "subject"), default=None, dest="split_mode")
+    for key in ("inference_mode", "split_mode"):
+        _add_setting(p, key)
     _add_common(p)
 
     p = sub.add_parser("predict", help="classify one PGM image")
     p.add_argument("image")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--gallery-manifest", dest="gallery_manifest")
-    p.add_argument("--inference-mode", choices=("multicrop", "nearest-feature"),
-                   default=None, dest="inference_mode")
+    _add_setting(p, "inference_mode")
     _add_common(p)
     return parser
 

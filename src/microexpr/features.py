@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +27,17 @@ LBP_OFFSETS = ((1, 2), (0, 2), (0, 1), (0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
 
 HOG_BLOCK_EPSILON = 1e-6
 
-
-@dataclass(frozen=True, eq=False)
-class FeatureDescriptor:
-    """Flat vector with a named segment layout: (name, offset, length) triples
-    that are contiguous, non-overlapping and cover the whole vector."""
-
-    values: np.ndarray
-    layout: tuple[tuple[str, int, int], ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        object.__setattr__(self, "values", values)
-        expected = 0
-        for name, offset, length in self.layout:
-            if offset != expected or length < 0:
-                raise ValueError(f"segment {name!r} breaks contiguous layout")
-            expected += length
-        if expected != values.size:
-            raise ValueError(f"layout covers {expected} values, vector has {values.size}")
-
-
-# The width of every image_descriptor row, the mlp-handcrafted input size:
-# per region, 256 LBP bins per grid cell plus HOG_BINS for each of the four
-# cells of every overlapping 2x2 block of HOG cells.
-IMAGE_DESCRIPTOR_LENGTH = sum(
-    256 * gw * gh + 4 * HOG_BINS * (w // HOG_CELL - 1) * (h // HOG_CELL - 1)
-    for _, (w, h), (gw, gh) in REGIONS
+# (CSV column prefix, width) of each descriptor segment in row order: per
+# region, 256 LBP bins per grid cell, then HOG_BINS for each of the four cells
+# of every overlapping 2x2 block of HOG cells.
+DESCRIPTOR_SEGMENTS = tuple(
+    segment
+    for name, (w, h), (gw, gh) in REGIONS
+    for segment in ((f"{name}.lbp", 256 * gw * gh),
+                    (f"{name}.hog", 4 * HOG_BINS * (w // HOG_CELL - 1) * (h // HOG_CELL - 1)))
 )
+# The width of every image_descriptor row, the mlp-handcrafted input size.
+IMAGE_DESCRIPTOR_LENGTH = sum(width for _, width in DESCRIPTOR_SEGMENTS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,7 +110,7 @@ def _cell_keys(h: int, w: int, grid_h: int, grid_w: int, stride: int) -> np.ndar
     return keys
 
 
-def lbp_histogram(img: GrayImage, grid_w: int, grid_h: int) -> FeatureDescriptor:
+def lbp_histogram(img: GrayImage, grid_w: int, grid_h: int) -> np.ndarray:
     """Per-cell 256-bin histograms of LBP codes over the image interior,
     each normalized to sum 1 (empty cells stay all-zero), concatenated
     row-major."""
@@ -143,9 +125,7 @@ def lbp_histogram(img: GrayImage, grid_w: int, grid_h: int) -> FeatureDescriptor
     counts = np.bincount((keys + codes).ravel(), minlength=grid_h * grid_w * 256)
     # An empty cell has no counts, so dividing it by 1 leaves it all-zero.
     hists = counts.reshape(-1, 256) / np.maximum(np.outer(rows, cols).reshape(-1, 1), 1)
-    layout = tuple((f"cell{k // grid_w}_{k % grid_w}", 256 * k, 256)
-                   for k in range(grid_h * grid_w))
-    return FeatureDescriptor(hists, layout)
+    return hists.ravel()
 
 
 def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +152,7 @@ def gradient_polar(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return q, theta
 
 
-def hog_descriptor(img: GrayImage, cell: int, bins: int) -> FeatureDescriptor:
+def hog_descriptor(img: GrayImage, cell: int, bins: int) -> np.ndarray:
     """Orientation histograms of gradient magnitude over cell x cell pixels
     (partial cells dropped), magnitudes linearly interpolated between the two
     nearest bin centers, 2x2-cell blocks L2-normalized with overlap stride 1.
@@ -207,53 +187,43 @@ def hog_descriptor(img: GrayImage, cell: int, bins: int) -> FeatureDescriptor:
     # vecdot sums a block as `v @ v` does, bit for bit.
     blocks = np.concatenate((hists[:-1, :-1], hists[:-1, 1:], hists[1:, :-1], hists[1:, 1:]), -1)
     norms = np.sqrt(np.vecdot(blocks, blocks) + HOG_BLOCK_EPSILON**2)
-    flat = (blocks / norms[..., None]).ravel()
-    return FeatureDescriptor(flat, (("hog", 0, flat.size),))
+    return (blocks / norms[..., None]).ravel()
 
 
-def handcrafted_descriptor(regions: dict[str, GrayImage]) -> FeatureDescriptor:
-    """LBP + HOG over the REGIONS, concatenated in table order; a region
-    whose size differs from its table entry raises ValueError."""
+def handcrafted_descriptor(regions: dict[str, GrayImage]) -> np.ndarray:
+    """LBP + HOG over the REGIONS, concatenated in DESCRIPTOR_SEGMENTS order;
+    a region whose size differs from its table entry raises ValueError."""
     parts: list[np.ndarray] = []
-    layout: list[tuple[str, int, int]] = []
-    offset = 0
     for name, (w, h), grid in REGIONS:
         region = regions[name]
         if (region.width, region.height) != (w, h):
             raise ValueError(f"{name} region is {region.width}x{region.height}, expected {w}x{h}")
-        lbp = lbp_histogram(region, *grid)
-        hog = hog_descriptor(region, HOG_CELL, HOG_BINS)
-        for kind, values in (("lbp", lbp.values), ("hog", hog.values)):
-            parts.append(values)
-            layout.append((f"{name}.{kind}", offset, values.size))
-            offset += values.size
-    return FeatureDescriptor(np.concatenate(parts), tuple(layout))
+        parts += (lbp_histogram(region, *grid), hog_descriptor(region, HOG_CELL, HOG_BINS))
+    return np.concatenate(parts)
 
 
-def image_descriptor(face: GrayImage) -> FeatureDescriptor:
+def image_descriptor(face: GrayImage) -> np.ndarray:
     """The descriptor of a face image as loaded: the row the `features`
     subcommand writes and the `mlp-handcrafted` network input."""
     return handcrafted_descriptor(crop_regions(face))
 
 
-def write_descriptor_csv(
-    path, descriptors: list[FeatureDescriptor], labels: list[str]
-) -> None:
-    """One row per sample; columns named segment.index plus a final label."""
-    if len(descriptors) != len(labels):
+def write_descriptor_csv(path, rows: list[np.ndarray], labels: list[str]) -> None:
+    """One image_descriptor row per sample under the DESCRIPTOR_SEGMENTS
+    columns, named prefix.index, plus a final label column."""
+    if len(rows) != len(labels):
         raise ValueError("descriptor/label count mismatch")
-    if not descriptors:
+    if not rows:
         raise ValueError("nothing to write")
-    layout = descriptors[0].layout
-    header = [
-        f"{name}.{i}" for name, _, length in layout for i in range(length)
-    ] + ["label"]
+    for row in rows:
+        if np.shape(row) != (IMAGE_DESCRIPTOR_LENGTH,):
+            raise ValueError(f"descriptor row has shape {np.shape(row)}, "
+                             f"expected ({IMAGE_DESCRIPTOR_LENGTH},)")
+    header = [f"{prefix}.{i}" for prefix, width in DESCRIPTOR_SEGMENTS for i in range(width)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for desc, label in zip(descriptors, labels):
-            if desc.layout != layout:
-                raise ValueError("descriptors have differing layouts")
+        writer.writerow(header + ["label"])
+        for row, label in zip(rows, labels):
             # Float reprs need no quoting; the writer adds the label field.
-            fh.write(",".join(map(repr, desc.values.tolist())))
+            fh.write(",".join(map(repr, row.tolist())))
             writer.writerow(("", label))

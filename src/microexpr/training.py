@@ -262,7 +262,7 @@ def model_input(model: ModelState, img: GrayImage) -> np.ndarray:
     loaded for the descriptor MLP (pixel statistics do not apply to it)."""
     if model.arch.kind == "fusion":
         return prepare_image(img, model).pixels
-    return image_descriptor(img).values
+    return image_descriptor(img)
 
 
 def _run_epochs(model, make_batch, labels, cfg, trainable,

@@ -87,6 +87,10 @@ class TestConfigFile:
         log = (run / "train_log.csv").read_text().strip().splitlines()
         assert len(log) == 1 + 2  # header + exactly the configured two epochs
 
+    def test_file_value_outside_choices_refused(self):
+        with pytest.raises(ConfigError, match="config key split_mode: 'subjetc' is not one of"):
+            resolve_option("split_mode", None, {"split_mode": "subjetc"})
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_option = 1\n")
@@ -638,6 +642,63 @@ class TestExitCodes:
         rc = main(["preprocess", "--manifest", str(manifest), "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "class 1 has 1 sample(s)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,typo", [
+        ("preprocess", "split_mode", "subjetc"),
+        ("train", "profile", "cnn-fuison"),
+        ("eval", "inference_mode", "multicorp"),
+        ("eval", "split_mode", "stratifeid"),
+    ])
+    def test_config_typo_in_mode_setting_refused(self, tmp_path, capsys, command, key, typo):
+        data = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--per-class", "3", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        ckpt, _ = untrained_model(tmp_path)
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"{key} = {typo}\n")
+        manifest = str(data / "manifest.csv")
+        argv = {"preprocess": ["--manifest", manifest],
+                "train": ["--train-manifest", manifest, "--max-epochs", "1"],
+                "eval": ["--test-manifest", manifest, "--checkpoint", str(ckpt)]}[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert f"config key {key}: {typo!r} is not one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_stems_refused_before_any_image(self, tmp_path, capsys, monkeypatch):
+        from microexpr import dataset
+
+        rng = np.random.default_rng(6)
+        rows = []
+        for path, label in [(f"{d}/x{i}.pgm", d.upper()) for d in "ab" for i in range(3)] + [
+                ("a/y.pgm", "A")]:
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            (tmp_path / path).write_bytes(encode_pgm(GrayImage(rng.random((20, 20)))))
+            rows.append(f"{path},{label},s{len(rows)}")
+        manifest = tmp_path / "man.csv"
+        manifest.write_text("path,label,subject\n" + "\n".join(rows) + "\n")
+        decoded = []
+        monkeypatch.setattr(dataset, "decode_pgm", lambda data: decoded.append(data))
+        out = tmp_path / "out"
+        assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) == EXIT_VALIDATION
+        assert "a/x0.pgm and b/x0.pgm would both be written to images/x0.pgm" in (
+            capsys.readouterr().err)
+        assert decoded == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names,message", [
+        ((), "no .pgm files"),
+        (("KA.AN1.39.pgm", "not-jaffe.pgm"), "does not match"),
+    ], ids=["empty", "bad-name"])
+    def test_refused_ingest_leaves_no_out_directory(self, tmp_path, capsys, names, message):
+        src = tmp_path / "raw"
+        src.mkdir()
+        for name in names:
+            (src / name).write_bytes(encode_pgm(GrayImage(np.zeros((16, 16)))))
+        out = tmp_path / "out"
+        assert main(["ingest", str(src), "--out", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_manifest_is_validation_error(self, tmp_path):

@@ -210,7 +210,7 @@ class TestGenerateSynthetic:
 
         samples = generate_synthetic(7, 6, 48, seed=3)
         feats = np.stack(
-            [hog_descriptor(s.image, cell=8, bins=9).values for s in samples]
+            [hog_descriptor(s.image, cell=8, bins=9) for s in samples]
         )
         labels = np.array([s.label for s in samples])
         centroids = np.stack([feats[labels == k].mean(axis=0) for k in range(7)])

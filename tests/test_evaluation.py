@@ -282,7 +282,7 @@ class TestGallery:
 
         rng = np.random.default_rng(22)
         imgs = [GrayImage(rng.random((48, 48))) for _ in range(GALLERY_CHUNK + 1)]
-        arch = MlpArch(classes=3, input_dim=image_descriptor(imgs[0]).values.size,
+        arch = MlpArch(classes=3, input_dim=image_descriptor(imgs[0]).size,
                        hidden_units=16)
         model = init_model(arch, CLASS3, seed=23, dtype=np.float32)
         features, _ = build_gallery(model, imgs, [0] * len(imgs))
@@ -357,7 +357,7 @@ class TestSinglePredictMlp:
         rng = np.random.default_rng(17)
         img = GrayImage(rng.random((48, 48)))
         probe_desc = handcrafted_descriptor(crop_regions(img))
-        arch = MlpArch(classes=3, input_dim=probe_desc.values.size, hidden_units=16)
+        arch = MlpArch(classes=3, input_dim=probe_desc.size, hidden_units=16)
         model = init_model(arch, CLASS3, seed=18)
         label, probs = single_predict(model, img)
         assert 0 <= label < 3

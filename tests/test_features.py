@@ -6,10 +6,10 @@ import pytest
 
 from microexpr.dataset import GrayImage, generate_synthetic
 from microexpr.features import (
+    DESCRIPTOR_SEGMENTS,
     HOG_BLOCK_EPSILON,
     IMAGE_DESCRIPTOR_LENGTH,
     REGIONS,
-    FeatureDescriptor,
     _area_weights,
     _lbp_codes,
     avg_pool_resize,
@@ -43,10 +43,12 @@ def oracle_lbp(window):
 
 
 def segment(desc, name):
-    """The values of the named segment of a FeatureDescriptor's layout."""
-    for seg_name, offset, length in desc.layout:
-        if seg_name == name:
-            return desc.values[offset : offset + length]
+    """The values of the named DESCRIPTOR_SEGMENTS segment of a descriptor row."""
+    offset = 0
+    for prefix, width in DESCRIPTOR_SEGMENTS:
+        if prefix == name:
+            return desc[offset : offset + width]
+        offset += width
     raise KeyError(name)
 
 
@@ -173,14 +175,11 @@ class TestLbpHistogram:
         desc = lbp_histogram(GrayImage(np.full((6, 6), 0.5)), 1, 1)
         expected = np.zeros(256)
         expected[255] = 1.0
-        assert np.array_equal(desc.values, expected)
+        assert np.array_equal(desc, expected)
 
     def test_grid_shape_contract(self):
         desc = lbp_histogram(GrayImage(np.random.default_rng(8).random((10, 10))), 2, 2)
-        assert desc.values.size == 4 * 256
-        assert [name for name, _, _ in desc.layout] == [
-            "cell0_0", "cell0_1", "cell1_0", "cell1_1"
-        ]
+        assert desc.shape == (4 * 256,)
 
     def test_matches_brute_force_counting(self):
         rng = np.random.default_rng(9)
@@ -191,20 +190,19 @@ class TestLbpHistogram:
             for y in range(1, 4):
                 for x in range(1, 4):
                     counts[oracle_lbp(px[y - 1 : y + 2, x - 1 : x + 2])] += 1
-            assert np.array_equal(desc.values, counts / 9.0)
+            assert np.array_equal(desc, counts / 9.0)
 
     def test_cells_sum_to_one_or_zero(self):
         rng = np.random.default_rng(10)
         desc = lbp_histogram(GrayImage(rng.random((9, 11))), 3, 2)
-        for name, offset, length in desc.layout:
-            total = desc.values[offset : offset + length].sum()
+        for total in desc.reshape(-1, 256).sum(axis=1):
             assert abs(total - 1.0) < 1e-12 or total == 0.0
-        assert np.all(desc.values >= 0)
+        assert np.all(desc >= 0)
 
     def test_empty_cells_allowed(self):
         # 3-pixel interior split over 4 columns: first cells empty, rest used.
         desc = lbp_histogram(GrayImage(np.random.default_rng(11).random((5, 5))), 4, 1)
-        sums = [desc.values[o : o + n].sum() for _, o, n in desc.layout]
+        sums = desc.reshape(-1, 256).sum(axis=1).tolist()
         assert 0.0 in sums and any(abs(s - 1.0) < 1e-12 for s in sums)
 
     def test_too_small_rejected(self):
@@ -248,13 +246,12 @@ class TestHog:
 
     def test_constant_image_zero_descriptor(self):
         desc = hog_descriptor(GrayImage(np.full((16, 16), 0.4)), cell=8, bins=9)
-        assert desc.values.size == 36
-        assert np.array_equal(desc.values, np.zeros(36))
+        assert np.array_equal(desc, np.zeros(36))
 
     def test_shape_formula(self):
         desc = hog_descriptor(GrayImage(np.random.default_rng(13).random((30, 40))), 10, 9)
         cells_x, cells_y = 4, 3
-        assert desc.values.size == (cells_x - 1) * (cells_y - 1) * 4 * 9
+        assert desc.shape == ((cells_x - 1) * (cells_y - 1) * 4 * 9,)
 
     def test_brightness_shift_invariance_exact(self):
         rng = np.random.default_rng(14)
@@ -262,7 +259,7 @@ class TestHog:
         shifted = px + 32 / 256.0  # exact in binary floating point
         a = hog_descriptor(GrayImage(px), 5, 9)
         b = hog_descriptor(GrayImage(shifted), 5, 9)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_scale_invariance_of_block_normalized_output(self):
         rng = np.random.default_rng(15)
@@ -270,7 +267,7 @@ class TestHog:
         base = hog_descriptor(GrayImage(px), 5, 9)
         for k in (0.5, 2.0):
             scaled = hog_descriptor(GrayImage(px * k), 5, 9)
-            assert np.abs(scaled.values - base.values).max() < 1e-6
+            assert np.abs(scaled - base).max() < 1e-6
 
     def test_image_smaller_than_cell_rejected(self):
         with pytest.raises(ValueError, match="smaller than one"):
@@ -282,36 +279,41 @@ class TestHog:
 REGION_GRIDS = (((140, 40), (4, 2)), ((200, 200), (5, 5)), ((140, 40), (4, 2)))
 
 
-def expected_descriptor_length():
-    """Independent evaluation of the segment-length formulas."""
-    total = 0
+SEGMENT_PREFIXES = ("eyes.lbp", "eyes.hog", "face.lbp", "face.hog", "mouth.lbp", "mouth.hog")
+
+
+def expected_segment_widths():
+    """Independent evaluation of the segment-width formulas, in row order."""
+    widths = []
     for (w, h), (gw, gh) in REGION_GRIDS:
-        total += gw * gh * 256
         cx, cy = w // 10, h // 10
-        total += (cx - 1) * (cy - 1) * 4 * 9
-    return total
+        widths += [gw * gh * 256, (cx - 1) * (cy - 1) * 4 * 9]
+    return widths
+
+
+def expected_descriptor_length():
+    return sum(expected_segment_widths())
 
 
 class TestHandcraftedDescriptor:
     @pytest.mark.parametrize("size", [48, 256])
     def test_image_descriptor_length_known_up_front(self, size):
         img = GrayImage(np.random.default_rng(size).random((size, size)))
-        assert IMAGE_DESCRIPTOR_LENGTH == image_descriptor(img).values.size
+        assert image_descriptor(img).shape == (IMAGE_DESCRIPTOR_LENGTH,)
         assert IMAGE_DESCRIPTOR_LENGTH == expected_descriptor_length() == 26300
 
     def test_default_length_and_fixed_layout(self):
         regions = crop_regions(GrayImage(np.random.default_rng(16).random((48, 48))))
         desc = handcrafted_descriptor(regions)
-        assert desc.values.size == expected_descriptor_length()
-        assert [name for name, _, _ in desc.layout] == [
-            "eyes.lbp", "eyes.hog", "face.lbp", "face.hog", "mouth.lbp", "mouth.hog"
-        ]
+        assert desc.dtype == np.float64
+        assert desc.shape == (expected_descriptor_length(),)
+        assert DESCRIPTOR_SEGMENTS == tuple(zip(SEGMENT_PREFIXES, expected_segment_widths()))
 
     def test_deterministic(self):
         px = np.random.default_rng(17).random((48, 48))
         a = handcrafted_descriptor(crop_regions(GrayImage(px)))
         b = handcrafted_descriptor(crop_regions(GrayImage(px)))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_constant_regions(self):
         regions = {
@@ -338,22 +340,6 @@ class TestHandcraftedDescriptor:
         regions[name] = GrayImage(regions[name].pixels[:-1])
         with pytest.raises(ValueError, match=f"{name} region is"):
             handcrafted_descriptor(regions)
-
-
-class TestFeatureDescriptor:
-    def test_layout_must_be_contiguous(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            FeatureDescriptor(np.zeros(4), (("a", 0, 2), ("b", 3, 1)))
-
-    def test_layout_must_cover_vector(self):
-        with pytest.raises(ValueError, match="covers"):
-            FeatureDescriptor(np.zeros(4), (("a", 0, 2),))
-
-    def test_segment_lookup(self):
-        desc = FeatureDescriptor(np.arange(5.0), (("a", 0, 2), ("b", 2, 3)))
-        assert segment(desc, "b").tolist() == [2.0, 3.0, 4.0]
-        with pytest.raises(KeyError):
-            segment(desc, "c")
 
 
 def reference_lbp_histogram(px, grid_w, grid_h):
@@ -422,7 +408,7 @@ class TestHistogramParity:
                 # Sizes leave partial cells in most cases; at least 2x2 cells.
                 h, w = rng.integers(2 * cell, 5 * cell + 1, size=2)
                 px = rng.random((int(h), int(w)))
-                got = hog_descriptor(GrayImage(px), cell, bins).values
+                got = hog_descriptor(GrayImage(px), cell, bins)
                 assert np.array_equal(got, reference_hog(px, cell, bins)), (cell, bins, px.shape)
 
     def test_hog_quantized_pixels(self):
@@ -430,15 +416,14 @@ class TestHistogramParity:
         rng = np.random.default_rng(31)
         for cell, bins in ((5, 9), (10, 9), (4, 6)):
             px = rng.integers(0, 4, size=(43, 37)) / 3.0
-            got = hog_descriptor(GrayImage(px), cell, bins).values
+            got = hog_descriptor(GrayImage(px), cell, bins)
             assert np.array_equal(got, reference_hog(px, cell, bins))
 
     def test_hog_one_cell_high_gives_no_blocks(self):
         px = np.random.default_rng(32).random((7, 30))
         got = hog_descriptor(GrayImage(px), 5, 9)
-        assert got.values.size == 0
-        assert got.layout == (("hog", 0, 0),)
-        assert np.array_equal(got.values, reference_hog(px, 5, 9))
+        assert got.shape == (0,)
+        assert np.array_equal(got, reference_hog(px, 5, 9))
 
     def test_lbp_grids_with_empty_and_partial_cells(self):
         rng = np.random.default_rng(33)
@@ -447,17 +432,13 @@ class TestHistogramParity:
                             ((3, 3), (2, 2)), ((200, 200), (5, 5))):
             px = rng.random(shape)
             got = lbp_histogram(GrayImage(px), grid[0], grid[1])
-            assert np.array_equal(got.values, reference_lbp_histogram(px, *grid)), (shape, grid)
-            assert [name for name, _, _ in got.layout] == [
-                f"cell{r}_{c}" for r in range(grid[1]) for c in range(grid[0])
-            ]
+            assert np.array_equal(got, reference_lbp_histogram(px, *grid)), (shape, grid)
 
     def test_image_descriptor_48x48(self):
         rng = np.random.default_rng(34)
         for _ in range(3):
             px = rng.random((48, 48))
-            assert np.array_equal(image_descriptor(GrayImage(px)).values,
-                                  reference_image_descriptor(px))
+            assert np.array_equal(image_descriptor(GrayImage(px)), reference_image_descriptor(px))
 
     def test_image_descriptor_preprocessed_256x256(self):
         # JAFFE-sized synthetic faces after the homomorphic filter and
@@ -467,7 +448,7 @@ class TestHistogramParity:
             resized = bilinear_resize(equalized.pixels, 48, 48)
             prepared = np.rint(np.clip(resized, 0.0, 1.0) * 255.0) / 255.0
             for px in (equalized.pixels, prepared):
-                assert np.array_equal(image_descriptor(GrayImage(px)).values,
+                assert np.array_equal(image_descriptor(GrayImage(px)),
                                       reference_image_descriptor(px))
 
     def test_cached_area_weights_are_read_only(self):
@@ -545,28 +526,46 @@ class TestDescriptorFormulas:
             gx, gy = gradients(GrayImage(px))
             for got, want in zip((gx, gy, *gradient_polar(gx, gy)), formula_polar(px)):
                 assert got.tobytes() == want.tobytes(), k
-            got = image_descriptor(GrayImage(px)).values
+            got = image_descriptor(GrayImage(px))
             assert got.tobytes() == formula_reference_descriptor(px).tobytes(), k
 
 
 class TestDescriptorCsv:
     def test_bytes_match_csv_writer_rows(self, tmp_path):
         rng = np.random.default_rng(36)
-        layout = (("a", 0, 3), ("b", 3, 2))
-        rows = [rng.normal(size=5) * 10.0 ** rng.integers(-8, 8, size=5) for _ in range(3)]
-        rows.append(np.array([0.0, -0.0, 1e-300, 1.0 / 3.0, 123456789.0]))
-        rows.append(np.array([np.inf, -np.inf, np.nan, 5e-324, 1.0]))
-        rows.append(np.array([2.0, 0.5, 0.25, 0.125, 1.5]))
+        n = IMAGE_DESCRIPTOR_LENGTH
+        rows = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n) for _ in range(3)]
+        specials = [0.0, -0.0, 1e-300, 1.0 / 3.0, 123456789.0, np.inf, -np.inf, np.nan, 5e-324,
+                    2.0, 0.5, 0.25, 0.125, 1.5]
+        for k in range(3):
+            row = rng.random(n)
+            row[rng.choice(n, size=len(specials), replace=False)] = specials
+            rows.append(row)
         labels = ["plain", 'a"b', "überrascht", "x,y", " padded ", ""]
-        descs = [FeatureDescriptor(v, layout) for v in rows]
         path = tmp_path / "descriptors.csv"
-        write_descriptor_csv(path, descs, labels)
+        write_descriptor_csv(path, rows, labels)
 
+        # The header restated: 256 LBP bins per grid cell and 36 HOG values
+        # per 2x2 block of 10-pixel cells, per region.
+        header = []
+        for prefix, width in zip(SEGMENT_PREFIXES, expected_segment_widths()):
+            header += [f"{prefix}.{i}" for i in range(width)]
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["a.0", "a.1", "a.2", "b.0", "b.1", "label"])
+            writer.writerow(header + ["label"])
             for values, label in zip(rows, labels):
                 writer.writerow([repr(float(v)) for v in values] + [label])
-        assert path.read_bytes() == expected.read_bytes()
-        assert b'"a""b"' in path.read_bytes() and b"\r\n" in path.read_bytes()
+        data = path.read_bytes()
+        assert data == expected.read_bytes()
+        assert data.startswith(b"eyes.lbp.0,eyes.lbp.1,")
+        assert b",mouth.hog.1403,label\r\n" in data and b'"a""b"' in data
+
+    @pytest.mark.parametrize("shape", [(IMAGE_DESCRIPTOR_LENGTH - 1,), (IMAGE_DESCRIPTOR_LENGTH + 1,),
+                                       (1, IMAGE_DESCRIPTOR_LENGTH), ()])
+    def test_wrong_width_row_refused(self, tmp_path, shape):
+        rows = [np.zeros(IMAGE_DESCRIPTOR_LENGTH), np.zeros(shape)]
+        path = tmp_path / "descriptors.csv"
+        with pytest.raises(ValueError, match="descriptor row has shape"):
+            write_descriptor_csv(path, rows, ["a", "b"])
+        assert not path.exists()

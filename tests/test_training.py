@@ -515,7 +515,7 @@ class TestTrainLoop:
         samples = small_corpus(per_class=4)
         cfg = quick_cfg(batch_size=5, max_epochs=3, lambda_center=0.01)
         model, log = train(descriptor_mlp(cfg.seed), samples, cfg)
-        rows = np.stack([image_descriptor(s.image).values for s in samples])
+        rows = np.stack([image_descriptor(s.image) for s in samples])
         labels = np.array([s.label for s in samples])
         ref, ref_log = train_on_rows(descriptor_mlp(cfg.seed), rows, labels, cfg)
         assert ([(r.loss, r.ce, r.center) for r in log.records]
