@@ -3,9 +3,9 @@ predict.
 
 Configuration precedence is flag > config file > built-in default.  Config
 files are flat `key = value` text; `#` starts a comment.  Exit codes: 0
-success, 1 validation problem, 2 runtime or numeric failure.  Every
-subcommand honors --seed, and identical invocations produce byte-identical
-artifacts.
+success, 1 validation problem (a bad flag included), 2 runtime or numeric
+failure.  Every subcommand honors --seed, and identical invocations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -87,31 +87,26 @@ def resolve_option(name: str, flag_value, file_values: dict[str, str]):
     return value
 
 
-class _Options:
-    """Resolved option bag for one invocation."""
+def resolve_settings(args: argparse.Namespace) -> None:
+    """Set every CONFIG_DEFAULTS key on `args`, so each value in the config
+    file is checked whether or not the command reads it."""
+    file_values: dict[str, str] = {}
+    if args.config:
+        path = Path(args.config)
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        file_values = parse_config_file(path.read_text())
+    unknown = set(file_values) - set(CONFIG_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name in CONFIG_DEFAULTS:
+        setattr(args, name, resolve_option(name, getattr(args, name, None), file_values))
+    if args.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {args.workers}")
 
-    def __init__(self, args: argparse.Namespace):
-        file_values: dict[str, str] = {}
-        if getattr(args, "config", None):
-            path = Path(args.config)
-            if not path.is_file():
-                raise ConfigError(f"config file not found: {path}")
-            file_values = parse_config_file(path.read_text())
-        unknown = set(file_values) - set(CONFIG_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self._args = args
-        self._file_values = file_values
 
-    def __getattr__(self, name: str):
-        if name in CONFIG_DEFAULTS:
-            return resolve_option(name, getattr(self._args, name, None), self._file_values)
-        return getattr(self._args, name)
-
-    def build(self, settings_class):
-        """A settings dataclass filled from this invocation's resolved options."""
-        return settings_class(**{f.name: getattr(self, f.name)
-                                 for f in dataclasses.fields(settings_class)})
+def _build(cls, args: argparse.Namespace):
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +116,10 @@ class _Options:
 def _read_manifest_file(path: Path) -> Manifest:
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
-    return dataset.load_manifest(path.read_text())
+    manifest = dataset.load_manifest(path.read_text())
+    if not manifest.entries:
+        raise ConfigError(f"manifest has no entries: {path}")
+    return manifest
 
 
 def _resolve_entry_path(manifest_path: Path, entry_path: str) -> Path:
@@ -155,7 +153,6 @@ def _class_names_for(classes: int) -> tuple[str, ...]:
 
 
 def cmd_ingest(args) -> int:
-    opts = _Options(args)
     src = Path(args.directory)
     if not src.is_dir():
         raise ConfigError(f"not a directory: {src}")
@@ -166,7 +163,7 @@ def cmd_ingest(args) -> int:
     if not rows:
         raise ConfigError(f"no .pgm files with JAFFE-style names under {src}")
     # Made only now, so a refused directory leaves no output.
-    out = Path(opts.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest_csv(out / "manifest.csv", rows, dataset.JAFFE_CLASS_NAMES)
     print(f"ingested {len(rows)} images -> {out / 'manifest.csv'}")
@@ -174,9 +171,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    opts = _Options(args)
-    samples = dataset.generate_synthetic(args.classes, args.per_class, args.size, opts.seed)
-    out = Path(opts.out)
+    samples = dataset.generate_synthetic(args.classes, args.per_class, args.size, args.seed)
+    out = Path(args.out)
     images_dir = out / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
     class_names = _class_names_for(args.classes)
@@ -200,15 +196,12 @@ def _preprocess_one(img: GrayImage, params: preprocess.HomomorphicParams) -> Gra
 
 
 def cmd_preprocess(args) -> int:
-    opts = _Options(args)
     # NaN fails the comparison too; checked before any image is read.
-    if not 0.0 < opts.split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must lie in (0, 1), got {opts.split_fraction}")
-    by_subject = opts.split_mode == "subject"
+    if not 0.0 < args.split_fraction < 1.0:
+        raise ConfigError(f"split_fraction must lie in (0, 1), got {args.split_fraction}")
+    by_subject = args.split_mode == "subject"
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
-    if not manifest.entries:
-        raise ConfigError("manifest has no entries")
     # Output name -> entry path, in manifest order.  Images are named by stem
     # alone, so two entries sharing one would overwrite each other.
     names: dict[str, str] = {}
@@ -218,7 +211,7 @@ def cmd_preprocess(args) -> int:
             raise ConfigError(f"manifest entries {names[name]} and {path} would both "
                               f"be written to {name}")
         names[name] = path
-    params = opts.build(preprocess.HomomorphicParams)
+    params = _build(preprocess.HomomorphicParams, args)
 
     def process(entry):
         path, label, subject = entry
@@ -231,7 +224,7 @@ def cmd_preprocess(args) -> int:
     skipped = 0
     rows = []
     samples = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.workers)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = pool.map(process, manifest.entries)
         for name, ((path, label, subject), img, err) in zip(names, results):
             if err is not None:
@@ -242,12 +235,12 @@ def cmd_preprocess(args) -> int:
             samples.append(LabeledSample(img, manifest.label_index(label), subject))
 
     # Split and fit before the first write, so a refused split leaves nothing.
-    train_part, _ = dataset.split(samples, opts.split_fraction, opts.seed, by_subject=by_subject)
+    train_part, _ = dataset.split(samples, args.split_fraction, args.seed, by_subject=by_subject)
     train_ids = {id(s) for s in train_part}
     normalized = [preprocess.normalize_per_image(s.image) for s in train_part]
     stats = preprocess.fit_pixel_stats(normalized)
 
-    out = Path(opts.out)
+    out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     for (name, _, _), sample in zip(rows, samples):
         (out / name).write_bytes(dataset.encode_pgm(sample.image))
@@ -265,17 +258,14 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_features(args) -> int:
-    opts = _Options(args)
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
-    if not manifest.entries:
-        raise ConfigError("manifest has no entries")
     samples = _load_samples(manifest_path, manifest)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.workers)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
         descriptors = list(pool.map(lambda s: features.image_descriptor(s.image), samples))
     labels = [manifest.class_names[s.label] for s in samples]
     # Made only now, so a refused manifest or image leaves no directory.
-    out = Path(opts.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     features.write_descriptor_csv(out / "descriptors.csv", descriptors, labels)
     print(f"wrote {len(descriptors)} descriptors -> {out / 'descriptors.csv'}")
@@ -283,9 +273,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = _Options(args)
-    cfg = opts.build(training.TrainConfig)
-    if opts.max_epochs < 1:
+    cfg = _build(training.TrainConfig, args)
+    if args.max_epochs < 1:
         raise ConfigError("max_epochs must be at least 1 for training")
     manifest_path = Path(args.train_manifest)
     manifest = _read_manifest_file(manifest_path)
@@ -295,25 +284,23 @@ def cmd_train(args) -> int:
         raise ConfigError(f"class names {unstorable} cannot be stored in a checkpoint: "
                           "use ASCII names without commas or newlines")
     samples = _load_samples(manifest_path, manifest)
-    if not samples:
-        raise ConfigError("training manifest has no entries")
     # Checked even for the descriptor MLP, which pixel statistics do not touch.
     stats = load_pixel_stats(Path(args.stats)) if args.stats else None
 
     classes = len(manifest.class_names)
-    if opts.profile == "cnn-fusion":
-        arch = network.FusionArch(classes=classes, dropout_p=opts.dropout_p)
+    if args.profile == "cnn-fusion":
+        arch = network.FusionArch(classes=classes, dropout_p=args.dropout_p)
     else:
         arch = network.MlpArch(classes=classes, input_dim=features.IMAGE_DESCRIPTOR_LENGTH,
-                               dropout_p=opts.dropout_p)
+                               dropout_p=args.dropout_p)
         stats = None
     model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
     model.pixel_stats = stats
-    out = Path(opts.out)
+    out = Path(args.out)
     error = None
     try:
         model, log = training.train(model, samples, cfg, checkpoint_dir=out,
-                                    checkpoint_every=args.checkpoint_every or 0)
+                                    checkpoint_every=args.checkpoint_every)
     except training.NonFiniteLossError as err:
         # The model was rolled back in place; it and the log so far are kept.
         error, log = err, getattr(err, "log", training.TrainLog())
@@ -354,7 +341,6 @@ def _predict(model, images, mode, gallery_manifest) -> list[tuple[int, float]]:
 
 
 def cmd_eval(args) -> int:
-    opts = _Options(args)
     manifest_path = Path(args.test_manifest)
     manifest = _read_manifest_file(manifest_path)
 
@@ -378,19 +364,19 @@ def cmd_eval(args) -> int:
         _require_classes(model, manifest, "manifest")
         samples = _load_samples(manifest_path, manifest)
         true = np.array([s.label for s in samples], dtype=np.int64)
-        predictions = _predict(model, [s.image for s in samples], opts.inference_mode,
+        predictions = _predict(model, [s.image for s in samples], args.inference_mode,
                                args.gallery_manifest)
         pred = np.array([label for label, _ in predictions], dtype=np.int64)
-        inference_mode = opts.inference_mode
+        inference_mode = args.inference_mode
 
     protocol = {
-        "split_mode": opts.split_mode,
-        "seed": opts.seed,
+        "split_mode": args.split_mode,
+        "seed": args.seed,
         "inference_mode": inference_mode,
     }
     report, cm = evaluation.build_report(true, pred, manifest.class_names)
     # Made only now, so a refused checkpoint or gallery leaves no directory.
-    out = Path(opts.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(evaluation.report_to_json(report, protocol))
     (out / "confusion.csv").write_text(evaluation.confusion_to_csv(cm, manifest.class_names))
@@ -401,14 +387,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    opts = _Options(args)
     model = network.load_checkpoint(Path(args.checkpoint))
     img = dataset.decode_pgm(Path(args.image).read_bytes())
     size = preprocess.PREPARED_SIZE
     if (img.height, img.width) != (size, size):
         raise ConfigError(f"{args.image} is {img.width}x{img.height}, predict takes a "
                           f"{size}x{size} image: run `microexpr preprocess` first")
-    [(label, score)] = _predict(model, [img], opts.inference_mode, args.gallery_manifest)
+    [(label, score)] = _predict(model, [img], args.inference_mode, args.gallery_manifest)
     print(f"{model.class_names[label]} {score:.6f}")
     return EXIT_OK
 
@@ -424,14 +409,22 @@ def _add_setting(parser: argparse.ArgumentParser, key: str) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    for key in ("seed", "workers"):
+        _add_setting(parser, key)
     parser.add_argument("--out", default=".", help="output directory")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so a bad flag exits 1 like the
+    same value in a config file; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="microexpr", description="micro facial expression recognition pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -489,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        resolve_settings(args)
         # Looked up per call, so a cmd_* patched after the parser was built runs.
         return globals()[f"cmd_{args.command}"](args)
     except (PgmError, ManifestError) as err:

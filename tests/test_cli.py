@@ -701,6 +701,73 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train-manifest", "m.csv", "--profile", "bogus"],
+        ["train", "--train-manifest", "m.csv", "--lr", "abc"],
+        ["preprocess", "--manifest", "m.csv", "--workers", "two"],
+        ["train", "--lr", "0.1"],
+        ["synth", "--no-such-flag"],
+    ], ids=["bad-choice", "bad-float", "bad-int", "missing-required", "unknown-flag"])
+    def test_bad_flag_is_validation_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("lr = abc", "config key lr: could not convert"),
+        ("split_mode = subjetc", "config key split_mode: 'subjetc' is not one of"),
+    ], ids=["lr", "split_mode"])
+    def test_config_key_the_command_does_not_read_is_checked(self, tmp_path, capsys, line,
+                                                             message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--per-class", "2", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, tmp_path, capsys, workers):
+        data = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
+                     "--workers", workers, "--out", str(out)]) == EXIT_VALIDATION
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_test_manifest_refused_before_the_checkpoint_loads(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        from microexpr import cli
+
+        ckpt, _ = untrained_model(tmp_path)
+        manifest = tmp_path / "test.csv"
+        manifest.write_text("# classes: C0,C1\npath,label,subject\n")
+
+        def forbidden(path):
+            raise AssertionError("the checkpoint was loaded")
+
+        monkeypatch.setattr(cli.network, "load_checkpoint", forbidden)
+        out = tmp_path / "out"
+        assert main(["eval", "--test-manifest", str(manifest), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"manifest has no entries: {manifest}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_gallery_manifest_refused(self, tmp_path, capsys):
+        ckpt, image = untrained_model(tmp_path)
+        gallery = tmp_path / "gallery.csv"
+        gallery.write_text("# classes: C0,C1\npath,label,subject\n")
+        out = tmp_path / "out"
+        assert main(["predict", str(image), "--checkpoint", str(ckpt),
+                     "--inference-mode", "nearest-feature", "--gallery-manifest", str(gallery),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"manifest has no entries: {gallery}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_validation_error(self, tmp_path):
         rc = main(["eval", "--test-manifest", str(tmp_path / "nope.csv"),
                    "--checkpoint", "x", "--out", str(tmp_path)])
@@ -758,4 +825,5 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args) or EXIT_OK)
         assert main(["synth", "--classes", "3", "--seed", "4"]) == EXIT_OK
         assert main(["synth"]) == EXIT_OK
-        assert [(a.classes, a.seed) for a in seen] == [(3, 4), (7, None)]
+        # Commands see resolved settings; the second parse did not inherit seed=4.
+        assert [(a.classes, a.seed) for a in seen] == [(3, 4), (7, 0)]
