@@ -63,7 +63,6 @@ from .training import (
     TrainLog,
     center_loss,
     cross_entropy,
-    fine_tune,
     lr_schedule,
     sgd_momentum_step,
     train,

@@ -3,9 +3,9 @@ predict.
 
 Configuration precedence is flag > config file > built-in default.  Config
 files are flat `key = value` text; `#` starts a comment.  Exit codes: 0
-success, 1 validation problem (a bad flag included), 2 runtime or numeric
-failure.  Every subcommand honors --seed, and identical invocations produce
-byte-identical artifacts.
+success, 1 malformed input (flag, config, manifest, PGM, checkpoint, stats),
+2 unreadable path or numeric failure.  Every subcommand honors --seed, and
+identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, evaluation, features, network, preprocess, training
-from .dataset import GrayImage, LabeledSample, Manifest, ManifestError, PgmError
+from .dataset import GrayImage, LabeledSample, Manifest, PgmError
 from .network import load_pixel_stats, save_pixel_stats
 
 EXIT_OK = 0
@@ -87,6 +87,13 @@ def resolve_option(name: str, flag_value, file_values: dict[str, str]):
     return value
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
 def resolve_settings(args: argparse.Namespace) -> None:
     """Set every CONFIG_DEFAULTS key on `args`, so each value in the config
     file is checked whether or not the command reads it."""
@@ -95,7 +102,7 @@ def resolve_settings(args: argparse.Namespace) -> None:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        file_values = parse_config_file(path.read_text())
+        file_values = parse_config_file(_read_text(path))
     unknown = set(file_values) - set(CONFIG_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -116,7 +123,7 @@ def _build(cls, args: argparse.Namespace):
 def _read_manifest_file(path: Path) -> Manifest:
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
-    manifest = dataset.load_manifest(path.read_text())
+    manifest = dataset.load_manifest(_read_text(path))
     if not manifest.entries:
         raise ConfigError(f"manifest has no entries: {path}")
     return manifest
@@ -323,16 +330,24 @@ def _require_classes(model, manifest: Manifest, what: str) -> None:
                          f"{manifest.class_names}")
 
 
-def _predict(model, images, mode, gallery_manifest) -> list[tuple[int, float]]:
-    """(label, score) per image: the label's softmax probability in multicrop
-    mode, the distance to the nearest gallery entry in nearest-feature mode."""
-    if mode == "multicrop":
+def _read_gallery(args) -> tuple[Path, Manifest] | None:
+    """The nearest-feature gallery manifest, read before any checkpoint or
+    image so that a missing or empty one costs nothing; None in multicrop."""
+    if args.inference_mode == "multicrop":
+        return None
+    if not args.gallery_manifest:
+        raise ConfigError("nearest-feature mode needs --gallery-manifest")
+    path = Path(args.gallery_manifest)
+    return path, _read_manifest_file(path)
+
+
+def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
+    """(label, score) per image: the label's softmax probability without a
+    gallery manifest (multicrop), else the distance to the nearest gallery entry."""
+    if gallery_manifest is None:
         predictions = [evaluation.single_predict(model, img) for img in images]
         return [(label, float(probs[label])) for label, probs in predictions]
-    if not gallery_manifest:
-        raise ConfigError("nearest-feature mode needs --gallery-manifest")
-    gpath = Path(gallery_manifest)
-    gallery_entries = _read_manifest_file(gpath)
+    gpath, gallery_entries = gallery_manifest
     _require_classes(model, gallery_entries, "gallery manifest")
     samples = _load_samples(gpath, gallery_entries)
     gallery = evaluation.build_gallery(model, [s.image for s in samples],
@@ -346,26 +361,25 @@ def cmd_eval(args) -> int:
 
     if args.predictions:
         pred_rows = {}
-        with open(args.predictions, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != ["path", "predicted_label"]:
-                raise ConfigError("predictions CSV must start with 'path,predicted_label'")
-            for row in reader:
-                if len(row) != 2:
-                    raise ConfigError(f"bad prediction row {row!r}")
-                pred_rows[row[0].strip()] = row[1].strip()
+        reader = csv.reader(_read_text(Path(args.predictions)).splitlines())
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != ["path", "predicted_label"]:
+            raise ConfigError("predictions CSV must start with 'path,predicted_label'")
+        for row in reader:
+            if len(row) != 2:
+                raise ConfigError(f"bad prediction row {row!r}")
+            pred_rows[row[0].strip()] = row[1].strip()
         true, pred = evaluation.evaluate_external_predictions(manifest, pred_rows)
         inference_mode = "external"
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --predictions")
+        gallery_manifest = _read_gallery(args)
         model = network.load_checkpoint(Path(args.checkpoint))
         _require_classes(model, manifest, "manifest")
         samples = _load_samples(manifest_path, manifest)
         true = np.array([s.label for s in samples], dtype=np.int64)
-        predictions = _predict(model, [s.image for s in samples], args.inference_mode,
-                               args.gallery_manifest)
+        predictions = _predict(model, [s.image for s in samples], gallery_manifest)
         pred = np.array([label for label, _ in predictions], dtype=np.int64)
         inference_mode = args.inference_mode
 
@@ -387,13 +401,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    gallery_manifest = _read_gallery(args)
     model = network.load_checkpoint(Path(args.checkpoint))
     img = dataset.decode_pgm(Path(args.image).read_bytes())
     size = preprocess.PREPARED_SIZE
     if (img.height, img.width) != (size, size):
         raise ConfigError(f"{args.image} is {img.width}x{img.height}, predict takes a "
                           f"{size}x{size} image: run `microexpr preprocess` first")
-    [(label, score)] = _predict(model, [img], args.inference_mode, args.gallery_manifest)
+    [(label, score)] = _predict(model, [img], gallery_manifest)
     print(f"{model.class_names[label]} {score:.6f}")
     return EXIT_OK
 
@@ -487,10 +502,7 @@ def main(argv=None) -> int:
         resolve_settings(args)
         # Looked up per call, so a cmd_* patched after the parser was built runs.
         return globals()[f"cmd_{args.command}"](args)
-    except (PgmError, ManifestError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # ConfigError, PgmError and ManifestError among them
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except (training.NonFiniteLossError, OSError) as err:

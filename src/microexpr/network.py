@@ -233,9 +233,6 @@ class FusionArch:
     def feature_dim(self) -> int:
         return self.fusion_units
 
-    def head_param_names(self) -> tuple[str, ...]:
-        return ("head.w", "head.b")
-
     def param_shapes(self) -> list[tuple[str, tuple[int, ...], int]]:
         """(name, shape, fan_in) in checkpoint manifest order."""
         shapes: list[tuple[str, tuple[int, ...], int]] = []
@@ -282,9 +279,6 @@ class MlpArch:
     @property
     def feature_dim(self) -> int:
         return self.hidden_units
-
-    def head_param_names(self) -> tuple[str, ...]:
-        return ("head.w", "head.b")
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...], int]]:
         return [

@@ -1,5 +1,5 @@
 """Training recipe: augmentation, joint cross-entropy + center loss, SGD with
-momentum, plateau learning-rate schedule, and head-only fine-tuning.
+momentum and a plateau learning-rate schedule, over every tensor of the model.
 
 train is the one entry for both architectures, over train_on_rows for fixed
 rows.  Optimizer velocity starts at zero in each call; no checkpoint holds it.
@@ -200,17 +200,14 @@ def sgd_momentum_step(
     grads: dict[str, np.ndarray],
     lr: float,
     mu: float,
-    trainable: set[str] | None = None,
 ) -> None:
     """Heavy-ball update in place: v <- mu*v + g; p <- p - lr*v.
 
-    Walks each C-contiguous tensor in SGD_BLOCK-element blocks through one
-    block-sized scratch array and leaves grads untouched.  A block is checked
-    finite before it is applied, so the raise can leave the named tensor
-    partly updated; the epoch rollback in train restores it."""
+    Updates every tensor in grads, each C-contiguous, in SGD_BLOCK-element
+    blocks through one block-sized scratch array, and leaves grads untouched.
+    A block is checked finite before it is applied, so the raise can leave
+    the named tensor partly updated; the epoch rollback in train restores it."""
     for name, grad in grads.items():
-        if trainable is not None and name not in trainable:
-            continue
         p, v, g = params[name].reshape(-1), velocity[name].reshape(-1), grad.reshape(-1)
         scratch = np.empty(min(v.size, SGD_BLOCK), dtype=v.dtype)
         for start in range(0, v.size, SGD_BLOCK):
@@ -265,7 +262,7 @@ def model_input(model: ModelState, img: GrayImage) -> np.ndarray:
     return image_descriptor(img)
 
 
-def _run_epochs(model, make_batch, labels, cfg, trainable,
+def _run_epochs(model, make_batch, labels, cfg,
                 checkpoint_every=0, checkpoint_dir=None) -> TrainLog:
     """Shared epoch loop: shuffle, batch, joint loss, SGD step, center update.
     make_batch(epoch, indices) produces the network input for those samples.
@@ -277,11 +274,9 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
         raise ValueError("label out of range for model classes")
     eye = np.eye(model.arch.classes, dtype=model_dtype(model))
     log = TrainLog()
-    # Frozen tensors never change, so they get no velocity and no snapshot;
-    # the rollback snapshot reuses its buffers every epoch.
-    velocity = {k: np.zeros_like(p) for k, p in model.params.items()
-                if trainable is None or k in trainable}
-    saved = {k: np.empty_like(v) for k, v in velocity.items()}
+    # The rollback snapshot reuses its buffers every epoch.
+    velocity = {k: np.zeros_like(p) for k, p in model.params.items()}
+    saved = {k: np.empty_like(p) for k, p in model.params.items()}
     saved_centers = np.empty_like(model.centers)
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -312,7 +307,7 @@ def _run_epochs(model, make_batch, labels, cfg, trainable,
                     model, cache, cross_entropy_grad_logits(probs, onehot),
                     cfg.lambda_center * dfeat,
                 )
-                sgd_momentum_step(model.params, velocity, grads, lr, cfg.momentum, trainable)
+                sgd_momentum_step(model.params, velocity, grads, lr, cfg.momentum)
                 model.centers = update_centers(
                     model.centers, feats, labels[idx], cfg.alpha_center
                 )
@@ -343,7 +338,6 @@ def train(
     model: ModelState,
     samples: list[LabeledSample],
     cfg: TrainConfig,
-    trainable: set[str] | None = None,
     checkpoint_every: int = 0,
     checkpoint_dir=None,
 ) -> tuple[ModelState, TrainLog]:
@@ -361,8 +355,7 @@ def train(
     prepared = np.stack([model_input(model, s.image) for s in samples])
     labels = np.array([s.label for s in samples], dtype=np.int64)
     if model.arch.kind != "fusion":
-        return train_on_rows(model, prepared, labels, cfg, trainable,
-                             checkpoint_every, checkpoint_dir)
+        return train_on_rows(model, prepared, labels, cfg, checkpoint_every, checkpoint_dir)
     if prepared.shape[1:] != (PREPARED_SIZE, PREPARED_SIZE):
         raise ValueError(f"training images must be {PREPARED_SIZE}x{PREPARED_SIZE}")
     n = len(samples)
@@ -383,8 +376,7 @@ def train(
             ]
         ).astype(dtype, copy=False)
 
-    log = _run_epochs(model, make_batch, labels, cfg, trainable,
-                      checkpoint_every, checkpoint_dir)
+    log = _run_epochs(model, make_batch, labels, cfg, checkpoint_every, checkpoint_dir)
     return model, log
 
 
@@ -393,7 +385,6 @@ def train_on_rows(
     rows: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
-    trainable: set[str] | None = None,
     checkpoint_every: int = 0,
     checkpoint_dir=None,
 ) -> tuple[ModelState, TrainLog]:
@@ -407,17 +398,6 @@ def train_on_rows(
     def make_batch(epoch, idx):
         return rows[idx]
 
-    log = _run_epochs(model, make_batch, labels, cfg, trainable,
-                      checkpoint_every, checkpoint_dir)
+    log = _run_epochs(model, make_batch, labels, cfg, checkpoint_every, checkpoint_dir)
     return model, log
 
-
-def fine_tune(
-    model: ModelState, new_samples: list[LabeledSample], cfg: TrainConfig
-) -> ModelState:
-    """Adapt a trained model to new samples by retraining only the final
-    classification head (and the class centers); every other tensor is frozen.
-    """
-    head = set(model.arch.head_param_names())
-    model, _ = train(model, new_samples, cfg, trainable=head)
-    return model

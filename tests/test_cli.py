@@ -436,12 +436,12 @@ class TestExitCodes:
             assert not (run / "model.ckpt").exists()
             assert not (run / "train_log.csv").exists()
 
-    def test_malformed_pgm_predict_is_runtime_error(self, tmp_path, capsys):
+    def test_malformed_pgm_predict_is_validation_error(self, tmp_path, capsys):
         run = run_pipeline(tmp_path, classes=2, per_class=6, epochs=1)
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n9 9\n255\nshort")
         rc = main(["predict", str(bad), "--checkpoint", str(run / "model.ckpt")])
-        assert rc == EXIT_RUNTIME
+        assert rc == EXIT_VALIDATION
         assert "byte offset" in capsys.readouterr().err
 
     def test_predict_refuses_unprepared_image(self, tmp_path, capsys):
@@ -617,14 +617,17 @@ class TestExitCodes:
         assert "need at least 2 classes" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("rows,code,message", [
-        ("", EXIT_VALIDATION, "manifest has no entries"),
-        ("missing.pgm,A,s1\n", EXIT_RUNTIME, "missing.pgm"),
-    ], ids=["header-only", "missing-image"])
-    def test_refused_features_leaves_no_out_directory(self, tmp_path, capsys, rows, code,
+    @pytest.mark.parametrize("text,code,message", [
+        ("path,label,subject\n", EXIT_VALIDATION, "manifest has no entries"),
+        ("path,label,subject\nmissing.pgm,A,s1\n", EXIT_RUNTIME, "missing.pgm"),
+        ("", EXIT_VALIDATION, "empty manifest"),
+        ("# classes: A\nmissing.pgm,A,s1\n", EXIT_VALIDATION, "'path,label,subject' header"),
+        ("path,label\nmissing.pgm,A\n", EXIT_VALIDATION, "'path,label,subject' header"),
+    ], ids=["header-only", "missing-image", "zero-byte", "missing-header", "missing-column"])
+    def test_refused_features_leaves_no_out_directory(self, tmp_path, capsys, text, code,
                                                       message):
         manifest = tmp_path / "man.csv"
-        manifest.write_text("path,label,subject\n" + rows)
+        manifest.write_text(text)
         out = tmp_path / "out"
         assert main(["features", "--manifest", str(manifest), "--out", str(out)]) == code
         assert message in capsys.readouterr().err
@@ -766,6 +769,57 @@ class TestExitCodes:
                      "--inference-mode", "nearest-feature", "--gallery-manifest", str(gallery),
                      "--out", str(out)]) == EXIT_VALIDATION
         assert f"manifest has no entries: {gallery}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("gallery", ["no-flag", "missing-file", "header-only"])
+    def test_gallery_checked_before_any_work(self, tmp_path, capsys, monkeypatch, command,
+                                             gallery):
+        from microexpr import dataset
+
+        ckpt, image = untrained_model(tmp_path)
+        test = tmp_path / "test.csv"
+        test.write_text(f"# classes: C0,C1\npath,label,subject\n{image.name},C0,s1\n")
+
+        def forbidden(*args):
+            raise AssertionError("work began before the gallery was checked")
+
+        monkeypatch.setattr(network, "load_checkpoint", forbidden)
+        monkeypatch.setattr(dataset, "decode_pgm", forbidden)
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--test-manifest", str(test), "--out", str(out)]
+        else:
+            argv = ["predict", str(image)]
+        argv += ["--checkpoint", str(ckpt), "--inference-mode", "nearest-feature"]
+        path = tmp_path / "gallery.csv"
+        if gallery != "no-flag":
+            argv += ["--gallery-manifest", str(path)]
+        if gallery == "header-only":
+            path.write_text("# classes: C0,C1\npath,label,subject\n")
+        assert main(argv) == EXIT_VALIDATION
+        message = {"no-flag": "nearest-feature mode needs --gallery-manifest",
+                   "missing-file": f"manifest not found: {path}",
+                   "header-only": f"manifest has no entries: {path}"}[gallery]
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["features", "synth", "eval"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"path,label,subject\n\xff.pgm,A,s1\n")
+        if command == "features":
+            argv = ["features", "--manifest", str(bad)]
+        elif command == "synth":
+            argv = ["synth", "--classes", "2", "--config", str(bad)]
+        else:
+            test = tmp_path / "test.csv"
+            test.write_text("# classes: A,B\npath,label,subject\nx.pgm,A,s1\n")
+            argv = ["eval", "--test-manifest", str(test), "--predictions", str(bad)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and "can't decode byte 0xff" in err
         assert not out.exists()
 
     def test_missing_manifest_is_validation_error(self, tmp_path):

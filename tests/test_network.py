@@ -34,8 +34,10 @@ from microexpr.network import (
     save_pixel_stats,
     softmax,
 )
-from microexpr.preprocess import PixelStats
+from microexpr.dataset import generate_synthetic
+from microexpr.preprocess import PixelStats, fit_pixel_stats, normalize_per_image
 from microexpr.rng import substream
+from microexpr.training import TrainConfig, train
 
 # Small fusion model whose every stage still runs: 16x16 input, 10-row crops.
 TINY = dict(classes=3, input_size=16, crop_rows=10, conv1_channels=2,
@@ -776,6 +778,22 @@ class TestCheckpoint:
         save_checkpoint(first, model)
         save_checkpoint(second, load_checkpoint(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_trained_checkpoint_holds_no_optimizer_state(self, tmp_path):
+        samples = generate_synthetic(3, 4, 48, 13)
+        model = init_model(FusionArch(**TINY, dropout_p=0.25), CLASS3, seed=2, dtype=np.float32)
+        model.pixel_stats = fit_pixel_stats([normalize_per_image(s.image) for s in samples])
+        model, _ = train(model, samples, TrainConfig(batch_size=5, max_epochs=3, seed=2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+
+        data = path.read_bytes()
+        header = data[: data.index(b"\nend\n") + len(b"\nend\n")]
+        assert b"momentum:" not in header
+        elements = (sum(p.size for p in model.params.values()) + model.centers.size
+                    + model.pixel_stats.mean.size + model.pixel_stats.std.size + 1)
+        assert len(data) == len(header) + 4 * elements
+        assert not hasattr(load_checkpoint(path), "momentum")
 
     @pytest.mark.parametrize("tensor,value", [("fuse2.b", np.nan), ("head.w", -np.inf),
                                               ("centers", np.inf)])

@@ -15,13 +15,11 @@ from microexpr.network import (
     dropout_forward,
     forward,
     init_model,
-    load_checkpoint,
     relu_backward,
     relu_forward,
-    save_checkpoint,
     softmax,
 )
-from microexpr.preprocess import bilinear_resize, fit_pixel_stats, normalize_per_image
+from microexpr.preprocess import bilinear_resize
 from microexpr.rng import STREAM_DROPOUT, STREAM_SHUFFLE, substream
 from microexpr.training import (
     SGD_BLOCK,
@@ -35,7 +33,6 @@ from microexpr.training import (
     cross_entropy,
     cross_entropy_grad_logits,
     draw_augment_params,
-    fine_tune,
     lr_schedule,
     prepare_image,
     sgd_momentum_step,
@@ -268,14 +265,6 @@ class TestSgdMomentum:
         buf = {"w": np.zeros(1)}
         with pytest.raises(NonFiniteLossError, match="w"):
             sgd_momentum_step(params, buf, {"w": np.array([np.nan])}, 0.1, 0.9)
-
-    def test_frozen_names_untouched(self):
-        params = {"w": np.array([1.0]), "head.w": np.array([1.0])}
-        buf = {"w": np.zeros(1), "head.w": np.zeros(1)}
-        grads = {"w": np.array([1.0]), "head.w": np.array([1.0])}
-        sgd_momentum_step(params, buf, grads, 0.1, 0.9, trainable={"head.w"})
-        assert params["w"][0] == 1.0 and buf["w"][0] == 0.0
-        assert params["head.w"][0] == 0.9
 
     def test_nan_in_last_block_names_the_tensor(self):
         n = 2 * SGD_BLOCK + 5
@@ -568,70 +557,3 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="48x48"):
             train(model, bad, cfg)
 
-
-class TestFineTune:
-    def _trained(self):
-        samples = small_corpus(per_class=6)
-        arch = FusionArch(dropout_p=0.25, **SMALL_ARCH)
-        model = init_model(arch, CLASS3, seed=2)
-        model, _ = train(model, samples, quick_cfg(max_epochs=15, seed=2))
-        return model, samples
-
-    def test_zero_epochs_is_noop(self):
-        model, samples = self._trained()
-        before = {k: v.copy() for k, v in model.params.items()}
-        fine_tune(model, samples, quick_cfg(max_epochs=0))
-        for name in before:
-            assert np.array_equal(model.params[name], before[name])
-
-    def test_only_head_and_centers_change(self):
-        model, samples = self._trained()
-        before = {k: v.copy() for k, v in model.params.items()}
-        fine_tune(model, samples, quick_cfg(max_epochs=3, seed=9))
-        head = set(model.arch.head_param_names())
-        for name in before:
-            if name in head:
-                assert not np.array_equal(model.params[name], before[name])
-            else:
-                assert np.array_equal(model.params[name], before[name])
-
-    def test_accuracy_does_not_collapse(self):
-        model, samples = self._trained()
-        base = eval_accuracy(model, samples)
-        fine_tune(model, samples, quick_cfg(max_epochs=5, seed=3, lr=0.005))
-        tuned = eval_accuracy(model, samples)
-        assert tuned >= base - 0.02
-
-    def test_descriptor_mlp_tunes_only_head_and_centers(self):
-        model = descriptor_mlp(seed=2)
-        before = {k: v.copy() for k, v in model.params.items()}
-        centers = model.centers.copy()
-        fine_tune(model, small_corpus(per_class=4), quick_cfg(max_epochs=2, seed=9))
-        head = set(model.arch.head_param_names())
-        for name in before:
-            assert np.array_equal(model.params[name], before[name]) == (name not in head), name
-        assert not np.array_equal(model.centers, centers)
-
-    def test_reloaded_checkpoint_fine_tunes(self, tmp_path):
-        samples = small_corpus(per_class=4)
-        model = init_model(FusionArch(dropout_p=0.25, **SMALL_ARCH), CLASS3, seed=2,
-                           dtype=np.float32)
-        model.pixel_stats = fit_pixel_stats([normalize_per_image(s.image) for s in samples])
-        model, _ = train(model, samples, quick_cfg(max_epochs=3, seed=2))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
-
-        data = path.read_bytes()
-        header = data[: data.index(b"\nend\n") + len(b"\nend\n")]
-        assert b"momentum:" not in header
-        elements = (sum(p.size for p in model.params.values()) + model.centers.size
-                    + model.pixel_stats.mean.size + model.pixel_stats.std.size + 1)
-        assert len(data) == len(header) + 4 * elements
-
-        loaded = load_checkpoint(path)
-        assert not hasattr(loaded, "momentum")
-        before = {k: v.copy() for k, v in loaded.params.items()}
-        fine_tune(loaded, samples, quick_cfg(max_epochs=2, seed=9))
-        head = set(loaded.arch.head_param_names())
-        for name in before:
-            assert np.array_equal(loaded.params[name], before[name]) == (name not in head), name
