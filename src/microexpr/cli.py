@@ -3,9 +3,9 @@ predict.
 
 Configuration precedence is flag > config file > built-in default.  Config
 files are flat `key = value` text; `#` starts a comment.  Exit codes: 0
-success, 1 malformed input (flag, config, manifest, PGM, checkpoint, stats),
-2 unreadable path or numeric failure.  Every subcommand honors --seed, and
-identical invocations produce byte-identical artifacts.
+success, 1 a malformed flag or input file (an error about a file names it),
+2 an unreadable path or a numeric failure.  Every subcommand honors --seed,
+and identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, evaluation, features, network, preprocess, training
-from .dataset import GrayImage, LabeledSample, Manifest, PgmError
+from .dataset import GrayImage, LabeledSample, Manifest
 from .network import load_pixel_stats, save_pixel_stats
 
 EXIT_OK = 0
@@ -57,7 +57,8 @@ CONFIG_DEFAULTS: dict[str, object] = {
 
 
 def parse_config_file(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; blanks ignored."""
+    """Flat `key = value` lines, each a known setting with a valid value; '#'
+    starts a comment; blanks ignored."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -67,6 +68,11 @@ def parse_config_file(text: str) -> dict[str, str]:
         if not sep or not key.strip() or not value.strip():
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         values[key.strip()] = value.strip()
+    unknown = set(values) - set(CONFIG_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name in values:
+        resolve_option(name, None, values)
     return values
 
 
@@ -87,25 +93,20 @@ def resolve_option(name: str, flag_value, file_values: dict[str, str]):
     return value
 
 
-def _read_text(path: Path) -> str:
+def _load(path, read):
+    """read(Path(path)): malformed content (ValueError, or csv.Error) becomes
+    `<path>: <reason>`, exit 1; an OSError names the path already, exit 2."""
     try:
-        return path.read_text()
-    except UnicodeDecodeError as err:
+        return read(Path(path))
+    except (ValueError, csv.Error) as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
 def resolve_settings(args: argparse.Namespace) -> None:
     """Set every CONFIG_DEFAULTS key on `args`, so each value in the config
     file is checked whether or not the command reads it."""
-    file_values: dict[str, str] = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        file_values = parse_config_file(_read_text(path))
-    unknown = set(file_values) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    file_values = (_load(args.config, lambda p: parse_config_file(p.read_text()))
+                   if args.config else {})
     for name in CONFIG_DEFAULTS:
         setattr(args, name, resolve_option(name, getattr(args, name, None), file_values))
     if args.workers < 1:
@@ -121,26 +122,17 @@ def _build(cls, args: argparse.Namespace):
 
 
 def _read_manifest_file(path: Path) -> Manifest:
-    if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
-    manifest = dataset.load_manifest(_read_text(path))
-    if not manifest.entries:
-        raise ConfigError(f"manifest has no entries: {path}")
-    return manifest
+    return _load(path, lambda p: dataset.load_manifest(p.read_text()))
 
 
-def _resolve_entry_path(manifest_path: Path, entry_path: str) -> Path:
-    p = Path(entry_path)
-    return p if p.is_absolute() else manifest_path.parent / p
+def _read_pgm(path: Path) -> GrayImage:
+    return dataset.decode_pgm(path.read_bytes())
 
 
 def _load_samples(manifest_path: Path, manifest: Manifest) -> list[LabeledSample]:
-    samples = []
-    for path, label, subject in manifest.entries:
-        data = _resolve_entry_path(manifest_path, path).read_bytes()
-        img = dataset.decode_pgm(data)
-        samples.append(LabeledSample(img, manifest.label_index(label), subject))
-    return samples
+    return [LabeledSample(_load(manifest_path.parent / path, _read_pgm),  # `/` keeps absolute paths
+                          manifest.label_index(label), subject)
+            for path, label, subject in manifest.entries]
 
 
 def _write_manifest_csv(path: Path, rows: list[tuple[str, str, str]], class_names) -> None:
@@ -206,7 +198,6 @@ def cmd_preprocess(args) -> int:
     # NaN fails the comparison too; checked before any image is read.
     if not 0.0 < args.split_fraction < 1.0:
         raise ConfigError(f"split_fraction must lie in (0, 1), got {args.split_fraction}")
-    by_subject = args.split_mode == "subject"
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
     # Output name -> entry path, in manifest order.  Images are named by stem
@@ -215,34 +206,35 @@ def cmd_preprocess(args) -> int:
     for path, _, _ in manifest.entries:
         name = f"images/{Path(path).stem}.pgm"
         if name in names:
-            raise ConfigError(f"manifest entries {names[name]} and {path} would both "
-                              f"be written to {name}")
+            raise ConfigError(f"{manifest_path}: entries {names[name]} and {path} would "
+                              f"both be written to {name}")
         names[name] = path
     params = _build(preprocess.HomomorphicParams, args)
 
     def process(entry):
-        path, label, subject = entry
         try:
-            img = dataset.decode_pgm(_resolve_entry_path(manifest_path, path).read_bytes())
-        except (OSError, PgmError) as err:
-            return entry, None, err
-        return entry, _preprocess_one(img, params), None
+            return _load(manifest_path.parent / entry[0],
+                         lambda p: _preprocess_one(_read_pgm(p), params)), None
+        except (OSError, ConfigError) as err:
+            return None, err
 
-    skipped = 0
     rows = []
     samples = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = pool.map(process, manifest.entries)
-        for name, ((path, label, subject), img, err) in zip(names, results):
+        for name, (_, label, subject), (img, err) in zip(names, manifest.entries, results):
             if err is not None:
-                skipped += 1
-                print(f"warning: skipping {path}: {err}", file=sys.stderr)
+                print(f"warning: skipping image: {err}", file=sys.stderr)
                 continue
             rows.append((name, label, subject))
             samples.append(LabeledSample(img, manifest.label_index(label), subject))
 
     # Split and fit before the first write, so a refused split leaves nothing.
-    train_part, _ = dataset.split(samples, args.split_fraction, args.seed, by_subject=by_subject)
+    try:
+        train_part, _ = dataset.split(samples, args.split_fraction, args.seed,
+                                      by_subject=args.split_mode == "subject")
+    except ValueError as err:  # too few images of a class in the manifest
+        raise ConfigError(f"{manifest_path}: {err}") from err
     train_ids = {id(s) for s in train_part}
     normalized = [preprocess.normalize_per_image(s.image) for s in train_part]
     stats = preprocess.fit_pixel_stats(normalized)
@@ -258,6 +250,7 @@ def cmd_preprocess(args) -> int:
     _write_manifest_csv(out / "test.csv", test_rows, manifest.class_names)
     save_pixel_stats(out / "pixel_stats.bin", stats)
     print(f"preprocessed {len(samples)} images ({len(train_rows)} train / {len(test_rows)} test)")
+    skipped = len(manifest.entries) - len(rows)
     if skipped:
         print(f"error: {skipped} file(s) skipped", file=sys.stderr)
         return EXIT_RUNTIME
@@ -267,10 +260,14 @@ def cmd_preprocess(args) -> int:
 def cmd_features(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
-    samples = _load_samples(manifest_path, manifest)
+
+    def describe(entry):  # in the reader, so an image too small to crop names its file
+        return _load(manifest_path.parent / entry[0],
+                     lambda p: features.image_descriptor(_read_pgm(p)))
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-        descriptors = list(pool.map(lambda s: features.image_descriptor(s.image), samples))
-    labels = [manifest.class_names[s.label] for s in samples]
+        descriptors = list(pool.map(describe, manifest.entries))
+    labels = [label for _, label, _ in manifest.entries]
     # Made only now, so a refused manifest or image leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -283,16 +280,18 @@ def cmd_train(args) -> int:
     cfg = _build(training.TrainConfig, args)
     if args.max_epochs < 1:
         raise ConfigError("max_epochs must be at least 1 for training")
+    if args.checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be at least 0, got {args.checkpoint_every}")
     manifest_path = Path(args.train_manifest)
     manifest = _read_manifest_file(manifest_path)
     # The checkpoint stores class names as one ASCII, comma-separated line.
     unstorable = [n for n in manifest.class_names if not n.isascii() or "," in n or "\n" in n]
     if unstorable:
-        raise ConfigError(f"class names {unstorable} cannot be stored in a checkpoint: "
-                          "use ASCII names without commas or newlines")
+        raise ConfigError(f"{manifest_path}: class names {unstorable} cannot be stored in a "
+                          "checkpoint: use ASCII names without commas or newlines")
     samples = _load_samples(manifest_path, manifest)
     # Checked even for the descriptor MLP, which pixel statistics do not touch.
-    stats = load_pixel_stats(Path(args.stats)) if args.stats else None
+    stats = _load(args.stats, load_pixel_stats) if args.stats else None
 
     classes = len(manifest.class_names)
     if args.profile == "cnn-fusion":
@@ -323,17 +322,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _require_classes(model, manifest: Manifest, what: str) -> None:
+def _require_classes(model, manifest: Manifest, path: Path) -> None:
     # A manifest label indexes the manifest's own class list.
     if model.class_names != manifest.class_names:
-        raise ValueError(f"checkpoint classes {model.class_names} != {what} classes "
-                         f"{manifest.class_names}")
+        raise ValueError(f"{path}: manifest classes {manifest.class_names} != checkpoint "
+                         f"classes {model.class_names}")
 
 
 def _read_gallery(args) -> tuple[Path, Manifest] | None:
     """The nearest-feature gallery manifest, read before any checkpoint or
     image so that a missing or empty one costs nothing; None in multicrop."""
     if args.inference_mode == "multicrop":
+        if args.gallery_manifest:
+            raise ConfigError("--gallery-manifest needs --inference-mode nearest-feature")
         return None
     if not args.gallery_manifest:
         raise ConfigError("nearest-feature mode needs --gallery-manifest")
@@ -348,11 +349,22 @@ def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
         predictions = [evaluation.single_predict(model, img) for img in images]
         return [(label, float(probs[label])) for label, probs in predictions]
     gpath, gallery_entries = gallery_manifest
-    _require_classes(model, gallery_entries, "gallery manifest")
+    _require_classes(model, gallery_entries, gpath)
     samples = _load_samples(gpath, gallery_entries)
     gallery = evaluation.build_gallery(model, [s.image for s in samples],
                                        [s.label for s in samples])
     return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
+
+
+def _read_predictions(path: Path) -> dict[str, str]:
+    """{manifest path: predicted label} from an external predictions CSV."""
+    rows = list(csv.reader(path.read_text().splitlines()))
+    if not rows or [c.strip() for c in rows[0]] != ["path", "predicted_label"]:
+        raise ValueError("predictions CSV must start with 'path,predicted_label'")
+    bad = [row for row in rows[1:] if len(row) != 2]
+    if bad:
+        raise ValueError(f"bad prediction row {bad[0]!r}")
+    return {image.strip(): label.strip() for image, label in rows[1:]}
 
 
 def cmd_eval(args) -> int:
@@ -360,23 +372,15 @@ def cmd_eval(args) -> int:
     manifest = _read_manifest_file(manifest_path)
 
     if args.predictions:
-        pred_rows = {}
-        reader = csv.reader(_read_text(Path(args.predictions)).splitlines())
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["path", "predicted_label"]:
-            raise ConfigError("predictions CSV must start with 'path,predicted_label'")
-        for row in reader:
-            if len(row) != 2:
-                raise ConfigError(f"bad prediction row {row!r}")
-            pred_rows[row[0].strip()] = row[1].strip()
-        true, pred = evaluation.evaluate_external_predictions(manifest, pred_rows)
+        true, pred = _load(args.predictions, lambda p: evaluation.evaluate_external_predictions(
+            manifest, _read_predictions(p)))
         inference_mode = "external"
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --predictions")
         gallery_manifest = _read_gallery(args)
-        model = network.load_checkpoint(Path(args.checkpoint))
-        _require_classes(model, manifest, "manifest")
+        model = _load(args.checkpoint, network.load_checkpoint)
+        _require_classes(model, manifest, manifest_path)
         samples = _load_samples(manifest_path, manifest)
         true = np.array([s.label for s in samples], dtype=np.int64)
         predictions = _predict(model, [s.image for s in samples], gallery_manifest)
@@ -402,12 +406,12 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     gallery_manifest = _read_gallery(args)
-    model = network.load_checkpoint(Path(args.checkpoint))
-    img = dataset.decode_pgm(Path(args.image).read_bytes())
+    model = _load(args.checkpoint, network.load_checkpoint)
+    img = _load(args.image, _read_pgm)
     size = preprocess.PREPARED_SIZE
     if (img.height, img.width) != (size, size):
-        raise ConfigError(f"{args.image} is {img.width}x{img.height}, predict takes a "
-                          f"{size}x{size} image: run `microexpr preprocess` first")
+        raise ConfigError(f"{args.image}: a {img.width}x{img.height} image, predict takes "
+                          f"{size}x{size}: run `microexpr preprocess` first")
     [(label, score)] = _predict(model, [img], gallery_manifest)
     print(f"{model.class_names[label]} {score:.6f}")
     return EXIT_OK

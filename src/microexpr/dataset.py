@@ -195,6 +195,8 @@ def load_manifest(text: str) -> Manifest:
         if len(row) != 3 or not all(c.strip() for c in row[:2]):
             raise ManifestError(f"row {lineno}: expected path,label,subject, got {row!r}")
         entries.append((row[0].strip(), row[1].strip(), row[2].strip()))
+    if not entries:
+        raise ManifestError("manifest has no entries")
     class_names = declared if declared is not None else tuple(sorted({e[1] for e in entries}))
     return Manifest(tuple(entries), class_names)
 

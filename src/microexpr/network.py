@@ -490,12 +490,12 @@ def _read_tensors(path, meta_lines: int) -> tuple[list[str], dict[str, np.ndarra
     with open(path, "rb") as fh:
         remaining = os.fstat(fh.fileno()).st_size
         if fh.read(len(TENSOR_MAGIC)) != TENSOR_MAGIC:
-            raise ValueError(f"{path}: not a microexpr tensor file (bad magic); to replace "
-                             "an older version's file, re-run `microexpr preprocess` or `train`")
+            raise ValueError("not a microexpr tensor file (bad magic); to replace an older "
+                             "version's file, re-run `microexpr preprocess` or `train`")
         lines = []
         for line in iter(fh.readline, b"end\n"):
             if not line.endswith(b"\n"):
-                raise ValueError(f"{path}: tensor file header has no end line")
+                raise ValueError("tensor file header has no end line")
             # A non-ASCII header raises UnicodeDecodeError, a ValueError.
             lines.append(line[:-1].decode("ascii"))
 
@@ -506,28 +506,28 @@ def _read_tensors(path, meta_lines: int) -> tuple[list[str], dict[str, np.ndarra
             tokens = line.split()
             dims = tokens[2].split(",") if len(tokens) == 3 and tokens[0] == "tensor" else []
             if not dims or not all(d.isdigit() and int(d) > 0 for d in dims):
-                raise ValueError(f"{path}: malformed tensor line {line!r}, expected "
+                raise ValueError(f"malformed tensor line {line!r}, expected "
                                  "'tensor <name> <d1,d2,...>' with positive integer dims")
             name, shape = tokens[1], tuple(int(d) for d in dims)
             if name in tensors:
-                raise ValueError(f"{path}: duplicate tensor {name!r}")
+                raise ValueError(f"duplicate tensor {name!r}")
             count = math.prod(shape)
             if remaining < 4 * count:
-                raise ValueError(f"{path}: payload truncated at tensor {name!r}")
+                raise ValueError(f"payload truncated at tensor {name!r}")
             tensors[name] = np.fromfile(fh, "<f4", count).reshape(shape)
             remaining -= 4 * count
     if remaining:
-        raise ValueError(f"{path}: {remaining} payload bytes after the last tensor")
+        raise ValueError(f"{remaining} payload bytes after the last tensor")
     return lines[:meta_lines], tensors
 
 
-def _take(path, tensors: dict[str, np.ndarray], name: str, shape=None) -> np.ndarray:
+def _take(tensors: dict[str, np.ndarray], name: str, shape=None) -> np.ndarray:
     """Remove and return tensors[name], which must exist and have the shape."""
     if name not in tensors:
-        raise ValueError(f"{path}: no tensor {name!r}")
+        raise ValueError(f"no tensor {name!r}")
     tensor = tensors.pop(name)
     if shape is not None and tensor.shape != shape:
-        raise ValueError(f"{path}: tensor {name} has shape {tensor.shape}, expected {shape}")
+        raise ValueError(f"tensor {name} has shape {tensor.shape}, expected {shape}")
     return tensor
 
 
@@ -536,11 +536,11 @@ def _stats_entries(stats: PixelStats) -> list[tuple[str, np.ndarray]]:
             ("pixel_stats.epsilon", np.array([stats.epsilon]))]
 
 
-def _stats_from_tensors(path, tensors: dict[str, np.ndarray]) -> PixelStats:
+def _stats_from_tensors(tensors: dict[str, np.ndarray]) -> PixelStats:
     """Remove the three pixel_stats.* tensors and build PixelStats from them."""
-    mean = _take(path, tensors, "pixel_stats.mean")
-    std = _take(path, tensors, "pixel_stats.std", mean.shape)
-    return PixelStats(mean, std, float(_take(path, tensors, "pixel_stats.epsilon", (1,))[0]))
+    mean = _take(tensors, "pixel_stats.mean")
+    std = _take(tensors, "pixel_stats.std", mean.shape)
+    return PixelStats(mean, std, float(_take(tensors, "pixel_stats.epsilon", (1,))[0]))
 
 
 def save_checkpoint(path, model: ModelState) -> None:
@@ -560,22 +560,22 @@ def load_checkpoint(path) -> ModelState:
     parameter or center, raises ValueError."""
     meta, tensors = _read_tensors(path, 2)
     if len(meta) != 2 or not meta[1].startswith("classes "):
-        raise ValueError(f"{path}: checkpoint header must be an arch line and a classes line")
+        raise ValueError("checkpoint header must be an arch line and a classes line")
     arch = _arch_from_description(meta[0])
     class_names = tuple(meta[1][len("classes ") :].split(","))
     if len(class_names) != arch.classes:
-        raise ValueError(f"{path}: {len(class_names)} class names for {arch.classes} classes")
-    params = {name: _take(path, tensors, f"param:{name}", shape)
+        raise ValueError(f"{len(class_names)} class names for {arch.classes} classes")
+    params = {name: _take(tensors, f"param:{name}", shape)
               for name, shape, _ in arch.param_shapes()}
-    centers = _take(path, tensors, "centers", (arch.classes, arch.feature_dim))
+    centers = _take(tensors, "centers", (arch.classes, arch.feature_dim))
     named = [(f"param:{name}", tensor) for name, tensor in params.items()]
     for name, tensor in named + [("centers", centers)]:
         # min and max carry any NaN or infinity and allocate nothing.
         if not np.isfinite([tensor.min(), tensor.max()]).all():
-            raise ValueError(f"{path}: tensor {name} holds non-finite values")
-    stats = _stats_from_tensors(path, tensors) if "pixel_stats.mean" in tensors else None
+            raise ValueError(f"tensor {name} holds non-finite values")
+    stats = _stats_from_tensors(tensors) if "pixel_stats.mean" in tensors else None
     if tensors:
-        raise ValueError(f"{path}: checkpoint has unexpected tensors {sorted(tensors)}")
+        raise ValueError(f"checkpoint has unexpected tensors {sorted(tensors)}")
     return ModelState(arch, params, centers, class_names, stats)
 
 
@@ -586,7 +586,7 @@ def save_pixel_stats(path, stats: PixelStats) -> None:
 def load_pixel_stats(path) -> PixelStats:
     """Read a save_pixel_stats file; a malformed one raises ValueError."""
     _, tensors = _read_tensors(path, 0)
-    stats = _stats_from_tensors(path, tensors)
+    stats = _stats_from_tensors(tensors)
     if tensors:
-        raise ValueError(f"{path}: pixel statistics file has unexpected tensors {sorted(tensors)}")
+        raise ValueError(f"pixel statistics file has unexpected tensors {sorted(tensors)}")
     return stats

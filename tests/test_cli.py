@@ -473,7 +473,7 @@ class TestExitCodes:
         ckpt, image = untrained_model(tmp_path)
         ckpt.write_bytes(ckpt.read_bytes().replace(b"input_size=42", b"input_size=60", 1))
         assert main(["predict", str(image), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
-        assert "error: input_size must be at most 48" in capsys.readouterr().err
+        assert f"error: {ckpt}: input_size must be at most 48" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval-multicrop", "eval-nearest", "predict"])
     def test_non_finite_checkpoint_is_validation_error(self, tmp_path, capsys, command):
@@ -553,7 +553,8 @@ class TestExitCodes:
                  "--gallery-manifest", str(gallery)]
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "checkpoint classes ('C0', 'C1') != gallery manifest classes" in err
+        assert f"error: {gallery}: manifest classes" in err
+        assert "!= checkpoint classes ('C0', 'C1')" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1.5", "0", "nan"])
@@ -600,7 +601,9 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
-    def test_refused_train_leaves_no_out_directory(self, tmp_path, capsys):
+    def test_refused_train_leaves_no_out_directory(self, tmp_path, capsys, monkeypatch):
+        from microexpr import dataset
+
         data = tmp_path / "data"
         assert main(["synth", "--classes", "2", "--per-class", "2", "--size", "64",
                      "--seed", "1", "--out", str(data)]) == EXIT_OK
@@ -609,6 +612,16 @@ class TestExitCodes:
                    "--checkpoint-every", "1", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert "training images must be 48x48" in capsys.readouterr().err
+        assert not out.exists()
+
+        def forbidden(*args):
+            raise AssertionError("an image was read")
+
+        monkeypatch.setattr(dataset, "decode_pgm", forbidden)
+        rc = main(["train", "--train-manifest", str(data / "manifest.csv"), "--max-epochs", "1",
+                   "--checkpoint-every", "-3", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "checkpoint_every must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_refused_synth_leaves_no_out_directory(self, tmp_path, capsys):
@@ -757,7 +770,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["eval", "--test-manifest", str(manifest), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert f"manifest has no entries: {manifest}" in capsys.readouterr().err
+        assert f"error: {manifest}: manifest has no entries" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_gallery_manifest_refused(self, tmp_path, capsys):
@@ -768,7 +781,7 @@ class TestExitCodes:
         assert main(["predict", str(image), "--checkpoint", str(ckpt),
                      "--inference-mode", "nearest-feature", "--gallery-manifest", str(gallery),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert f"manifest has no entries: {gallery}" in capsys.readouterr().err
+        assert f"error: {gallery}: manifest has no entries" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
@@ -797,11 +810,28 @@ class TestExitCodes:
             argv += ["--gallery-manifest", str(path)]
         if gallery == "header-only":
             path.write_text("# classes: C0,C1\npath,label,subject\n")
-        assert main(argv) == EXIT_VALIDATION
+        # An unreadable path is a runtime error; Python's message names it.
+        assert main(argv) == (EXIT_RUNTIME if gallery == "missing-file" else EXIT_VALIDATION)
         message = {"no-flag": "nearest-feature mode needs --gallery-manifest",
-                   "missing-file": f"manifest not found: {path}",
-                   "header-only": f"manifest has no entries: {path}"}[gallery]
+                   "missing-file": f"No such file or directory: '{path}'",
+                   "header-only": f"error: {path}: manifest has no entries"}[gallery]
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_gallery_without_nearest_feature_refused(self, tmp_path, capsys, command):
+        ckpt, image = untrained_model(tmp_path)
+        test = tmp_path / "test.csv"
+        test.write_text(f"# classes: C0,C1\npath,label,subject\n{image.name},C0,s1\n")
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--test-manifest", str(test), "--out", str(out)]
+        else:
+            argv = ["predict", str(image)]
+        argv += ["--checkpoint", str(ckpt), "--gallery-manifest", str(test)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--gallery-manifest needs --inference-mode nearest-feature" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["features", "synth", "eval"])
@@ -822,10 +852,10 @@ class TestExitCodes:
         assert f"error: {bad}: " in err and "can't decode byte 0xff" in err
         assert not out.exists()
 
-    def test_missing_manifest_is_validation_error(self, tmp_path):
+    def test_missing_manifest_is_runtime_error(self, tmp_path):
         rc = main(["eval", "--test-manifest", str(tmp_path / "nope.csv"),
                    "--checkpoint", "x", "--out", str(tmp_path)])
-        assert rc == EXIT_VALIDATION
+        assert rc == EXIT_RUNTIME
 
     def test_unreadable_entries_skipped_with_runtime_exit(self, tmp_path, capsys):
         d = tmp_path / "imgs"
@@ -848,6 +878,70 @@ class TestExitCodes:
         assert "skipping" in capsys.readouterr().err
         # The good images were still processed.
         assert len(list((tmp_path / "w" / "images").glob("*.pgm"))) == 4
+
+
+class TestInputFiles:
+    """Every input file is read one way: malformed content exits 1 with
+    `error: <its path>: `, and a path that cannot be read exits 2."""
+
+    P6 = b"P6\n48 48\n255\n" + bytes(3 * 48 * 48)
+
+    def case(self, root, input_class):
+        """(argv, the input file, malformed bytes for it) for one input class."""
+        ckpt, _ = untrained_model(root)
+        rng = np.random.default_rng(7)
+        rows = ""
+        for i in range(4):
+            (root / f"f{i}.pgm").write_bytes(encode_pgm(GrayImage(rng.random((48, 48)))))
+            rows += f"f{i}.pgm,C{i % 2},s{i}\n"
+        manifest, gallery = root / "m.csv", root / "g.csv"
+        manifest.write_text("# classes: C0,C1\npath,label,subject\n" + rows)
+        gallery.write_text(manifest.read_text())
+        config, predictions, stats = root / "c.cfg", root / "p.csv", root / "s.bin"
+        config.write_text("seed = 1\n")
+        predictions.write_text("path,predicted_label\nf0.pgm,C0\nf1.pgm,C1\nf2.pgm,C0\nf3.pgm,C1\n")
+        save_pixel_stats(stats, PixelStats(np.zeros((48, 48)), np.ones((48, 48)), 1e-6))
+        image = root / "f1.pgm"
+        train = ["train", "--train-manifest", str(manifest), "--max-epochs", "1"]
+        evaluate = ["eval", "--test-manifest", str(manifest), "--checkpoint", str(ckpt)]
+        return {
+            "config": (["synth", "--classes", "2", "--config", str(config)], config,
+                       b"lr = abc\n"),
+            "train-manifest": (train, manifest, b"path,label\nf0.pgm,C0\n"),
+            "test-manifest": (evaluate, manifest, b"# classes: C0,C1\npath,label,subject\n"),
+            "gallery-manifest": ([*evaluate, "--inference-mode", "nearest-feature",
+                                  "--gallery-manifest", str(gallery)], gallery,
+                                 b"path,label,subject\n\xff.pgm,C0,s1\n"),
+            "features-image": (["features", "--manifest", str(manifest)], image, self.P6),
+            "train-image": (train, image, self.P6),
+            "eval-image": (evaluate, image, self.P6),
+            "predict-image": (["predict", str(image), "--checkpoint", str(ckpt)], image, self.P6),
+            "predictions": (["eval", "--test-manifest", str(manifest), "--predictions",
+                             str(predictions)], predictions, b"path,label\nf0.pgm,C0\n"),
+            "checkpoint": (["predict", str(root / "f0.pgm"), "--checkpoint", str(ckpt)], ckpt,
+                           ckpt.read_bytes().replace(b"input_size=42", b"input_size=60", 1)),
+            "stats": ([*train, "--stats", str(stats)], stats, stats.read_bytes()[:-4]),
+        }[input_class]
+
+    @pytest.mark.parametrize("mode", ["malformed", "missing"])
+    @pytest.mark.parametrize("input_class", [
+        "config", "train-manifest", "test-manifest", "gallery-manifest", "features-image",
+        "train-image", "eval-image", "predict-image", "predictions", "checkpoint", "stats"])
+    def test_error_names_the_file(self, tmp_path, capsys, input_class, mode):
+        argv, path, malformed = self.case(tmp_path, input_class)
+        if mode == "malformed":
+            path.write_bytes(malformed)
+        else:
+            path.unlink()
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        if mode == "malformed":
+            assert rc == EXIT_VALIDATION and err.startswith(f"error: {path}: "), err
+        else:
+            # Python's own message names the path.
+            assert rc == EXIT_RUNTIME and f"No such file or directory: '{path}'" in err, err
+        assert not out.exists()
 
 
 class TestBlasThreads:
