@@ -129,8 +129,28 @@ def _read_pgm(path: Path) -> GrayImage:
     return dataset.decode_pgm(path.read_bytes())
 
 
-def _load_samples(manifest_path: Path, manifest: Manifest) -> list[LabeledSample]:
-    return [LabeledSample(_load(manifest_path.parent / path, _read_pgm),  # `/` keeps absolute paths
+def _read_training_image(path: Path) -> GrayImage:
+    """A manifest image for the fusion CNN, which trains on prepared images."""
+    img = _read_pgm(path)
+    size = preprocess.PREPARED_SIZE
+    if (img.height, img.width) != (size, size):
+        raise ValueError(f"a {img.width}x{img.height} image; training images must be "
+                         f"{size}x{size}: run `microexpr preprocess` first")
+    return img
+
+
+def _read_training_stats(path: Path) -> preprocess.PixelStats:
+    """Pixel statistics for training, which are fitted on prepared images."""
+    stats = load_pixel_stats(path)
+    size = preprocess.PREPARED_SIZE
+    if stats.mean.shape != (size, size):
+        raise ValueError(f"pixel statistics of shape {stats.mean.shape}; training images "
+                         f"are {size}x{size}")
+    return stats
+
+
+def _load_samples(manifest_path: Path, manifest: Manifest, read=_read_pgm) -> list[LabeledSample]:
+    return [LabeledSample(_load(manifest_path.parent / path, read),  # `/` keeps absolute paths
                           manifest.label_index(label), subject)
             for path, label, subject in manifest.entries]
 
@@ -284,17 +304,22 @@ def cmd_train(args) -> int:
         raise ConfigError(f"checkpoint_every must be at least 0, got {args.checkpoint_every}")
     manifest_path = Path(args.train_manifest)
     manifest = _read_manifest_file(manifest_path)
+    classes = len(manifest.class_names)
+    if classes < 2:
+        raise ConfigError(f"{manifest_path}: {classes} class {list(manifest.class_names)}; "
+                          "training needs at least 2 classes")
     # The checkpoint stores class names as one ASCII, comma-separated line.
     unstorable = [n for n in manifest.class_names if not n.isascii() or "," in n or "\n" in n]
     if unstorable:
         raise ConfigError(f"{manifest_path}: class names {unstorable} cannot be stored in a "
                           "checkpoint: use ASCII names without commas or newlines")
-    samples = _load_samples(manifest_path, manifest)
-    # Checked even for the descriptor MLP, which pixel statistics do not touch.
-    stats = _load(args.stats, load_pixel_stats) if args.stats else None
+    # Checked before any image, and even for the descriptor MLP, which pixel
+    # statistics do not touch.
+    stats = _load(args.stats, _read_training_stats) if args.stats else None
+    fusion = args.profile == "cnn-fusion"
+    samples = _load_samples(manifest_path, manifest, _read_training_image if fusion else _read_pgm)
 
-    classes = len(manifest.class_names)
-    if args.profile == "cnn-fusion":
+    if fusion:
         arch = network.FusionArch(classes=classes, dropout_p=args.dropout_p)
     else:
         arch = network.MlpArch(classes=classes, input_dim=features.IMAGE_DESCRIPTOR_LENGTH,

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .preprocess import PREPARED_SIZE, PixelStats
 from .rng import STREAM_INIT, substream
@@ -51,15 +52,18 @@ def dense_backward(dout, cache, input_grad=True):
 
 def _column_blocks(x, kh, kw):
     """Yield (start, cols) per CONV_CHUNK items of x (B,C,H,W): cols (n, C*kh*kw, oh*ow)
-    holds their kh*kw slice copies (im2col), in one buffer the next block overwrites."""
+    holds their kh*kw shifted windows (im2col), copied in one pass from a strided
+    view of x into one buffer the next block overwrites."""
     batch, in_c, h, width = x.shape
     oh, ow = h - kh + 1, width - kw + 1
-    buf = np.empty((min(batch, CONV_CHUNK), in_c, kh * kw, oh, ow), dtype=x.dtype)
+    sb, sc, sh, sw = x.strides
+    # windows[n, c, i, j] is the (oh, ow) window at offset (i, j); nothing is copied yet.
+    windows = as_strided(x, (batch, in_c, kh, kw, oh, ow), (sb, sc, sh, sw, sh, sw),
+                         writeable=False)
+    buf = np.empty((min(batch, CONV_CHUNK), in_c, kh, kw, oh, ow), dtype=x.dtype)
     for s in range(0, batch, CONV_CHUNK):
         cols = buf[: batch - s]
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i * kw + j] = x[s : s + len(cols), :, i : i + oh, j : j + ow]
+        np.copyto(cols, windows[s : s + len(cols)])
         yield s, cols.reshape(len(cols), in_c * kh * kw, oh * ow)
 
 
@@ -106,17 +110,19 @@ def relu_backward(dout, mask):
     return dout * mask
 
 
-def maxpool2_forward(x):
+def maxpool2_forward(x, routes=True):
     """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
     Ties route the gradient to the first maximum in tile order (0,0), (0,1),
-    (1,0), (1,1): left within a tile row, then the upper row."""
+    (1,0), (1,1): left within a tile row, then the upper row.  Without routes
+    the cache is None: the output is the same, but no backward can use it."""
     h, width = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
     left, right = x[:, :, :h, 0:width:2], x[:, :, :h, 1:width:2]
     row_max = np.maximum(left, right)
-    take_right = right > left
     upper, lower = row_max[:, :, 0::2], row_max[:, :, 1::2]
-    take_lower = lower > upper
-    return np.maximum(upper, lower), (x.shape, take_right, take_lower)
+    out = np.maximum(upper, lower)
+    if not routes:
+        return out, None
+    return out, (x.shape, right > left, lower > upper)
 
 
 def maxpool2_backward(dout, cache):
@@ -348,18 +354,21 @@ def model_dtype(model: ModelState):
 # Forward / backward
 
 
-def _branch_forward(x2d, params, prefix, rowwise):
+def _branch_forward(x2d, params, prefix, mode):
     # Each stage pools before its relu: relu is monotone, so it commutes with
-    # max (ties included), and runs on a quarter of the elements.
+    # max (ties included), and runs on a quarter of the elements.  Only train
+    # mode keeps the pools' gradient routes.
+    routes = mode == "train"
     x = x2d[:, None, :, :]
     c1, cc1 = conv2d_forward(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
-    p1, pc1 = maxpool2_forward(c1)
+    p1, pc1 = maxpool2_forward(c1, routes)
     r1, mask1 = relu_forward(p1)
     c2, cc2 = conv2d_forward(r1, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
-    p2, pc2 = maxpool2_forward(c2)
+    p2, pc2 = maxpool2_forward(c2, routes)
     r2, mask2 = relu_forward(p2)
     flat, flat_shape = flatten_forward(r2)
-    d, dc = dense_forward(flat, params[f"{prefix}.fc.w"], params[f"{prefix}.fc.b"], rowwise)
+    d, dc = dense_forward(flat, params[f"{prefix}.fc.w"], params[f"{prefix}.fc.b"],
+                          mode == "eval-rowwise")
     act, mask3 = relu_forward(d)
     cache = (cc1, pc1, mask1, cc2, pc2, mask2, flat_shape, dc, mask3)
     return act, cache
@@ -387,7 +396,8 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
     deterministic.  Mode "eval-rowwise" is eval with every dense layer run
     row by row: convolutions are per-item matmuls and pooling and relu are
     elementwise, so an item's outputs are then the same bits at every batch
-    size, equal to its batch-1 eval forward.
+    size, equal to its batch-1 eval forward.  The cache records the mode; an
+    eval cache holds no pooling routes and serves no backward.
     """
     if mode not in ("train", "eval", "eval-rowwise"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -404,9 +414,9 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
             raise ValueError(f"batch shape {batch.shape}, expected {expected}")
         eyes = batch[:, : arch.crop_rows, :]
         mouth = batch[:, -arch.crop_rows :, :]
-        eyes_act, eyes_cache = _branch_forward(eyes, params, "eyes", rowwise)
-        face_act, face_cache = _branch_forward(batch, params, "face", rowwise)
-        mouth_act, mouth_cache = _branch_forward(mouth, params, "mouth", rowwise)
+        eyes_act, eyes_cache = _branch_forward(eyes, params, "eyes", mode)
+        face_act, face_cache = _branch_forward(batch, params, "face", mode)
+        mouth_act, mouth_cache = _branch_forward(mouth, params, "mouth", mode)
 
         a1, split1 = concat_forward(eyes_act, face_act)
         f1, f1_dense = dense_forward(a1, params["fuse1.w"], params["fuse1.b"], rowwise)
@@ -428,6 +438,7 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
 
     if arch.kind == "fusion":
         cache = {
+            "mode": mode,
             "eyes": eyes_cache,
             "face": face_cache,
             "mouth": mouth_cache,
@@ -437,13 +448,17 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
             "head": head_dense,
         }
     else:
-        cache = {"hidden": (h_dense, h_mask), "drop": drop_cache, "head": head_dense}
+        cache = {"mode": mode, "hidden": (h_dense, h_mask), "drop": drop_cache,
+                 "head": head_dense}
     return logits, features, cache
 
 
 def backward(model: ModelState, cache, dlogits: np.ndarray, dfeatures: np.ndarray):
     """Exact parameter gradients for dlogits through the head plus dfeatures
-    injected at the feature node.  Requires a train-mode cache."""
+    injected at the feature node.  Requires a train-mode cache: an eval cache
+    holds no pooling routes, and it raises ValueError."""
+    if cache["mode"] != "train":
+        raise ValueError("backward needs a train-mode cache")
     grads: dict[str, np.ndarray] = {}
     ddrop, grads["head.w"], grads["head.b"] = dense_backward(dlogits, cache["head"])
     dfeat = dropout_backward(ddrop, cache["drop"]) + dfeatures

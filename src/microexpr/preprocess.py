@@ -203,15 +203,16 @@ def bilinear_resize(px: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _bilinear_sample(px, ys[:, None], xs[None, :])
 
 
-def rotate_bilinear(px: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rotate about the image center, bilinear sampling, edge-replicated fill."""
+def rotate_bilinear(px: np.ndarray, angle_deg: float, rows=None, cols=None) -> np.ndarray:
+    """Rotate about the image center, bilinear sampling, edge-replicated fill.
+    rows and cols (ranges, default all) select the output pixels to compute:
+    each is the same bits as in the whole rotated image."""
     h, w = px.shape
     t = math.radians(angle_deg)
     c, s = math.cos(t), math.sin(t)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    yy -= cy
-    xx -= cx
+    yy = np.array(range(h) if rows is None else rows, dtype=np.float64)[:, None] - cy
+    xx = np.array(range(w) if cols is None else cols, dtype=np.float64)[None, :] - cx
     src_y = c * yy - s * xx + cy
     src_x = s * yy + c * xx + cx
     return _bilinear_sample(px, src_y, src_x)

@@ -23,8 +23,8 @@ from .features import image_descriptor
 from .network import ModelState, backward, forward, model_dtype, save_checkpoint, softmax
 from .preprocess import (
     PREPARED_SIZE,
+    _bilinear_sample,
     apply_pixel_stats,
-    bilinear_resize,
     normalize_per_image,
     require_finite_fields,
     rotate_bilinear,
@@ -137,18 +137,37 @@ def draw_augment_params(rng, window: int) -> AugmentParams:
     return AugmentParams(mirror, angle, size, crop_y, crop_x)
 
 
+def _resize_sources(size: int, start: int, window: int):
+    """(coordinates, source range) of output positions start .. start+window-1
+    of bilinear_resize from PREPARED_SIZE to size: the clamped coordinates it
+    samples at, relative to the first source row or column its taps read."""
+    src = (np.arange(start, start + window, dtype=np.float64) + 0.5) \
+        * (PREPARED_SIZE / size) - 0.5
+    src = np.clip(src, 0.0, PREPARED_SIZE - 1.0)
+    lo, hi = int(src[0]), min(int(src[-1]) + 1, PREPARED_SIZE - 1)
+    return src - lo, range(lo, hi + 1)  # exact: lo is an integer at or below each one
+
+
 def apply_augment(img: GrayImage, p: AugmentParams, window: int) -> GrayImage:
     """Mirror, rotate (bilinear, edge fill), rescale to size x size (bilinear),
-    crop to the window x window network input, in that order."""
+    crop to the window x window network input, in that order.
+
+    Only the crop is computed: the rotation covers the source rows and
+    columns the crop's resize taps read, and the same bilinear sampling
+    reads them, so every pixel is the same bits as the whole chain's."""
     if (img.height, img.width) != (PREPARED_SIZE, PREPARED_SIZE):
         raise ValueError(f"augment expects {PREPARED_SIZE}x{PREPARED_SIZE} input")
     px = img.pixels
     if p.mirror:
         px = px[:, ::-1]
-    px = rotate_bilinear(px, p.angle_deg)
-    px = bilinear_resize(px, p.size, p.size)
-    px = px[p.crop_y : p.crop_y + window, p.crop_x : p.crop_x + window]
-    return GrayImage(px.copy())
+    rows = range(p.crop_y, p.crop_y + window)
+    cols = range(p.crop_x, p.crop_x + window)
+    if p.size == PREPARED_SIZE:  # bilinear_resize copies at its own size
+        return GrayImage(rotate_bilinear(px, p.angle_deg, rows, cols))
+    ys, rows = _resize_sources(p.size, p.crop_y, window)
+    xs, cols = _resize_sources(p.size, p.crop_x, window)
+    rotated = rotate_bilinear(px, p.angle_deg, rows, cols)
+    return GrayImage(_bilinear_sample(rotated, ys[:, None], xs[None, :]))
 
 
 # ---------------------------------------------------------------------------

@@ -624,6 +624,69 @@ class TestExitCodes:
         assert "checkpoint_every must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def small_train_set(root, labels=("C0", "C1", "C0", "C1"), odd_size=None):
+        """A manifest of 48x48 images; with odd_size, the third is that size."""
+        rng = np.random.default_rng(9)
+        rows = []
+        for i, label in enumerate(labels):
+            size = odd_size if odd_size and i == 2 else 48
+            (root / f"f{i}.pgm").write_bytes(encode_pgm(GrayImage(rng.random((size, size)))))
+            rows.append(f"f{i}.pgm,{label},s{i}")
+        manifest = root / "train.csv"
+        manifest.write_text("path,label,subject\n" + "\n".join(rows) + "\n")
+        return manifest
+
+    @staticmethod
+    def forbid(monkeypatch, module, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        monkeypatch.setattr(module, name, forbidden)
+
+    def test_training_image_of_another_size_refused(self, tmp_path, capsys, monkeypatch):
+        manifest = self.small_train_set(tmp_path, odd_size=40)
+        self.forbid(monkeypatch, network, "FusionArch")
+        out = tmp_path / "run"
+        rc = main(["train", "--train-manifest", str(manifest), "--max-epochs", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'f2.pgm'}: a 40x40 image; training images must be 48x48")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("profile", ["cnn-fusion", "mlp-handcrafted"])
+    def test_stats_of_another_shape_refused_before_any_image(self, tmp_path, capsys,
+                                                              monkeypatch, profile):
+        from microexpr import dataset
+
+        manifest = self.small_train_set(tmp_path)
+        stats = tmp_path / "stats.bin"
+        save_pixel_stats(stats, PixelStats(np.zeros((96, 24)), np.ones((96, 24)), 1e-6))
+        self.forbid(monkeypatch, dataset, "decode_pgm")
+        out = tmp_path / "run"
+        rc = main(["train", "--train-manifest", str(manifest), "--stats", str(stats),
+                   "--profile", profile, "--max-epochs", "1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"error: {stats}: pixel statistics of shape (96, 24); training images are 48x48")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("profile", ["cnn-fusion", "mlp-handcrafted"])
+    def test_one_class_manifest_refused_before_any_image(self, tmp_path, capsys, monkeypatch,
+                                                         profile):
+        from microexpr import dataset
+
+        manifest = self.small_train_set(tmp_path, labels=("A",) * 4)
+        self.forbid(monkeypatch, dataset, "decode_pgm")
+        out = tmp_path / "run"
+        rc = main(["train", "--train-manifest", str(manifest), "--profile", profile,
+                   "--max-epochs", "1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: 1 class ['A']; training needs at least 2 classes\n")
+        assert not out.exists()
+
     def test_refused_synth_leaves_no_out_directory(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main(["synth", "--classes", "1", "--out", str(out)]) == EXIT_VALIDATION

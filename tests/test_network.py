@@ -179,6 +179,25 @@ class TestForwardContract:
         with pytest.raises(ValueError, match="batch shape"):
             forward(model, np.zeros((2, 12, 12)), "eval")
 
+    @pytest.mark.parametrize("kind", ["fusion", "mlp"])
+    def test_eval_cache_serves_no_backward(self, kind):
+        rng = np.random.default_rng(10)
+        if kind == "fusion":
+            model = init_model(FusionArch(**TINY), CLASS3, seed=11)
+            batch = rng.normal(size=(2, 16, 16))
+        else:
+            model = init_model(MlpArch(classes=3, input_dim=5, hidden_units=4), CLASS3, seed=11)
+            batch = rng.normal(size=(2, 5))
+        logits, features, cache = forward(model, batch, "train", substream(0, 1))
+        assert cache["mode"] == "train"
+        assert set(backward(model, cache, np.ones_like(logits), np.ones_like(features))) \
+            == set(model.params)
+        for mode in ("eval", "eval-rowwise"):
+            logits, features, cache = forward(model, batch, mode)
+            assert cache["mode"] == mode
+            with pytest.raises(ValueError, match="backward needs a train-mode cache"):
+                backward(model, cache, np.ones_like(logits), np.ones_like(features))
+
     def test_window_larger_than_prepared_image_refused(self):
         assert FusionArch(classes=3, input_size=48).input_size == 48
         with pytest.raises(ValueError, match="input_size must be at most 48"):
@@ -374,6 +393,21 @@ class TestMaxPoolTieRouting:
         tiles = dx[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2)
         assert np.array_equal((tiles != 0).sum(axis=(3, 5)), np.ones((2, 3, 2, 3)))
         assert np.array_equal(tiles.sum(axis=(3, 5)), dout)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 2, 6, 9), (3, 1, 7, 4), (1, 1, 2, 2)])
+    def test_output_without_routes_is_the_same_bits(self, shape):
+        rng = np.random.default_rng(47)
+        # Few distinct values, so most tiles hold ties; signed zeros tie too.
+        x = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=shape)
+        x[0, 0, :2, :2] = 1.0
+        for dtype in (np.float64, np.float32):
+            xd = x.astype(dtype)
+            out, cache = maxpool2_forward(xd, routes=False)
+            with_routes, route_cache = maxpool2_forward(xd)
+            assert cache is None and route_cache[0] == xd.shape
+            assert out.dtype == dtype
+            assert out.tobytes() == with_routes.tobytes()
+            assert np.array_equal(out, reference_pool(xd)[0])
 
     def test_relu_and_pool_commute_on_negative_and_tied_tiles(self):
         rng = np.random.default_rng(43)
@@ -579,10 +613,10 @@ def reference_unpool(dout, arg, shape):
     return dx
 
 
-def reference_branch_forward(x2d, params, prefix, rowwise=False):
+def reference_branch_forward(x2d, params, prefix, mode):
     """conv -> relu -> pool twice, then fc -> relu, from the reference kernels.
-    The fc is one product in both modes: eval mode's row-by-row dense
-    (rowwise) changes only its rounding."""
+    The fc is one product in every mode: the row-by-row dense of
+    "eval-rowwise" changes only its rounding."""
     x = x2d[:, None, :, :]
     h1 = reference_conv(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
     p1, arg1 = reference_pool(np.maximum(h1, 0.0))

@@ -19,7 +19,7 @@ from microexpr.network import (
     relu_forward,
     softmax,
 )
-from microexpr.preprocess import bilinear_resize
+from microexpr.preprocess import bilinear_resize, rotate_bilinear
 from microexpr.rng import STREAM_DROPOUT, STREAM_SHUFFLE, substream
 from microexpr.training import (
     SGD_BLOCK,
@@ -104,6 +104,33 @@ class TestAugment:
         with pytest.raises(ValueError, match="48x48"):
             apply_augment(GrayImage(np.zeros((42, 42))),
                           draw_augment_params(substream(0, 0), 42), 42)
+
+    @staticmethod
+    def two_stage_augment(px, p, window):
+        """The chain as written: whole rotation, whole resize, then the crop."""
+        if p.mirror:
+            px = px[:, ::-1]
+        full = bilinear_resize(rotate_bilinear(px, p.angle_deg), p.size, p.size)
+        return full[p.crop_y : p.crop_y + window, p.crop_x : p.crop_x + window]
+
+    @pytest.mark.parametrize("window", [42, 16])
+    def test_window_only_chain_is_the_same_bits(self, window):
+        rng = np.random.default_rng(window)
+        draws = substream(5, 6, window)
+        top = 2 * 48 - window
+        for k in range(260):
+            px = rng.normal(size=(48, 48))
+            if k % 4:
+                p = draw_augment_params(draws, window)
+            else:  # the extremes: every size bound, 48, both edge crops, +-45 degrees
+                size = (window, 48, top, int(rng.integers(window, top + 1)))[k // 4 % 4]
+                off = (0, size - window)
+                p = AugmentParams(bool(k % 8), (-45.0, 45.0, 0.0)[k % 3], size,
+                                  off[k // 16 % 2], off[k // 32 % 2])
+            got = apply_augment(GrayImage(px), p, window).pixels
+            want = self.two_stage_augment(px, p, window)
+            assert got.shape == want.shape == (window, window)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), p
 
     def test_mirror_only_flips(self):
         px = np.random.default_rng(2).random((48, 48))
