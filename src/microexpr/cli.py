@@ -67,6 +67,8 @@ def parse_config_file(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep or not key.strip() or not value.strip():
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+        if key.strip() in values:
+            raise ConfigError(f"config line {lineno}: duplicate key {key.strip()!r}")
         values[key.strip()] = value.strip()
     unknown = set(values) - set(CONFIG_DEFAULTS)
     if unknown:
@@ -125,32 +127,25 @@ def _read_manifest_file(path: Path) -> Manifest:
     return _load(path, lambda p: dataset.load_manifest(p.read_text()))
 
 
-def _read_pgm(path: Path) -> GrayImage:
-    return dataset.decode_pgm(path.read_bytes())
-
-
-def _read_training_image(path: Path) -> GrayImage:
-    """A manifest image for the fusion CNN, which trains on prepared images."""
-    img = _read_pgm(path)
-    size = preprocess.PREPARED_SIZE
-    if (img.height, img.width) != (size, size):
-        raise ValueError(f"a {img.width}x{img.height} image; training images must be "
-                         f"{size}x{size}: run `microexpr preprocess` first")
+def _read_image(path: Path, prepared: bool = False) -> GrayImage:
+    """A PGM image; with prepared, only the shape preprocess writes, which
+    is what the fusion CNN takes (the descriptor MLP takes any image)."""
+    img = dataset.decode_pgm(path.read_bytes())
+    if prepared:
+        preprocess.require_prepared(img.pixels.shape, "image")
     return img
 
 
-def _read_training_stats(path: Path) -> preprocess.PixelStats:
-    """Pixel statistics for training, which are fitted on prepared images."""
+def _read_stats(path: Path) -> preprocess.PixelStats:
+    """Pixel statistics, which preprocess fits on prepared images."""
     stats = load_pixel_stats(path)
-    size = preprocess.PREPARED_SIZE
-    if stats.mean.shape != (size, size):
-        raise ValueError(f"pixel statistics of shape {stats.mean.shape}; training images "
-                         f"are {size}x{size}")
+    preprocess.require_prepared(stats.mean.shape, "pixel statistics")
     return stats
 
 
-def _load_samples(manifest_path: Path, manifest: Manifest, read=_read_pgm) -> list[LabeledSample]:
-    return [LabeledSample(_load(manifest_path.parent / path, read),  # `/` keeps absolute paths
+def _load_samples(manifest_path: Path, manifest: Manifest, prepared: bool) -> list[LabeledSample]:
+    return [LabeledSample(_load(manifest_path.parent / path,  # `/` keeps absolute paths
+                                lambda p: _read_image(p, prepared)),
                           manifest.label_index(label), subject)
             for path, label, subject in manifest.entries]
 
@@ -234,7 +229,7 @@ def cmd_preprocess(args) -> int:
     def process(entry):
         try:
             return _load(manifest_path.parent / entry[0],
-                         lambda p: _preprocess_one(_read_pgm(p), params)), None
+                         lambda p: _preprocess_one(_read_image(p), params)), None
         except (OSError, ConfigError) as err:
             return None, err
 
@@ -283,7 +278,7 @@ def cmd_features(args) -> int:
 
     def describe(entry):  # in the reader, so an image too small to crop names its file
         return _load(manifest_path.parent / entry[0],
-                     lambda p: features.image_descriptor(_read_pgm(p)))
+                     lambda p: features.image_descriptor(_read_image(p)))
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
         descriptors = list(pool.map(describe, manifest.entries))
@@ -315,18 +310,17 @@ def cmd_train(args) -> int:
                           "checkpoint: use ASCII names without commas or newlines")
     # Checked before any image, and even for the descriptor MLP, which pixel
     # statistics do not touch.
-    stats = _load(args.stats, _read_training_stats) if args.stats else None
+    stats = _load(args.stats, _read_stats) if args.stats else None
     fusion = args.profile == "cnn-fusion"
-    samples = _load_samples(manifest_path, manifest, _read_training_image if fusion else _read_pgm)
+    samples = _load_samples(manifest_path, manifest, fusion)
 
     if fusion:
         arch = network.FusionArch(classes=classes, dropout_p=args.dropout_p)
     else:
         arch = network.MlpArch(classes=classes, input_dim=features.IMAGE_DESCRIPTOR_LENGTH,
                                dropout_p=args.dropout_p)
-        stats = None
     model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
-    model.pixel_stats = stats
+    model.pixel_stats = stats if fusion else None
     out = Path(args.out)
     error = None
     try:
@@ -375,7 +369,7 @@ def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
         return [(label, float(probs[label])) for label, probs in predictions]
     gpath, gallery_entries = gallery_manifest
     _require_classes(model, gallery_entries, gpath)
-    samples = _load_samples(gpath, gallery_entries)
+    samples = _load_samples(gpath, gallery_entries, model.arch.kind == "fusion")
     gallery = evaluation.build_gallery(model, [s.image for s in samples],
                                        [s.label for s in samples])
     return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
@@ -386,10 +380,14 @@ def _read_predictions(path: Path) -> dict[str, str]:
     rows = list(csv.reader(path.read_text().splitlines()))
     if not rows or [c.strip() for c in rows[0]] != ["path", "predicted_label"]:
         raise ValueError("predictions CSV must start with 'path,predicted_label'")
-    bad = [row for row in rows[1:] if len(row) != 2]
-    if bad:
-        raise ValueError(f"bad prediction row {bad[0]!r}")
-    return {image.strip(): label.strip() for image, label in rows[1:]}
+    table: dict[str, str] = {}
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"bad prediction row {row!r}")
+        if row[0].strip() in table:
+            raise ValueError(f"more than one prediction for {row[0].strip()!r}")
+        table[row[0].strip()] = row[1].strip()
+    return table
 
 
 def cmd_eval(args) -> int:
@@ -406,7 +404,7 @@ def cmd_eval(args) -> int:
         gallery_manifest = _read_gallery(args)
         model = _load(args.checkpoint, network.load_checkpoint)
         _require_classes(model, manifest, manifest_path)
-        samples = _load_samples(manifest_path, manifest)
+        samples = _load_samples(manifest_path, manifest, model.arch.kind == "fusion")
         true = np.array([s.label for s in samples], dtype=np.int64)
         predictions = _predict(model, [s.image for s in samples], gallery_manifest)
         pred = np.array([label for label, _ in predictions], dtype=np.int64)
@@ -432,11 +430,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     gallery_manifest = _read_gallery(args)
     model = _load(args.checkpoint, network.load_checkpoint)
-    img = _load(args.image, _read_pgm)
-    size = preprocess.PREPARED_SIZE
-    if (img.height, img.width) != (size, size):
-        raise ConfigError(f"{args.image}: a {img.width}x{img.height} image, predict takes "
-                          f"{size}x{size}: run `microexpr preprocess` first")
+    img = _load(args.image, lambda p: _read_image(p, model.arch.kind == "fusion"))
     [(label, score)] = _predict(model, [img], gallery_manifest)
     print(f"{model.class_names[label]} {score:.6f}")
     return EXIT_OK

@@ -178,6 +178,8 @@ def load_manifest(text: str) -> Manifest:
         if stripped.startswith("#"):
             after = stripped[1:].strip()
             if after.lower().startswith("classes:"):
+                if declared is not None:
+                    raise ManifestError(f"line {i + 1}: a second '# classes:' line")
                 names = [n.strip() for n in after.split(":", 1)[1].split(",") if n.strip()]
                 declared = tuple(names)
             continue
@@ -274,7 +276,7 @@ def generate_synthetic(
     samples: list[LabeledSample] = []
     for label in range(classes):
         t_rng = substream(seed, STREAM_SYNTH, 0, label)
-        field = np.zeros((size, size))
+        field = np.zeros_like(xs)
         total_amp = 0.0
         for _ in range(_SYNTH_WAVES):
             u, v = t_rng.uniform(-3.0, 3.0, size=2)
@@ -287,7 +289,7 @@ def generate_synthetic(
         template = 0.5 + _SYNTH_CONTRAST * field / total_amp
         for i in range(per_class):
             s_rng = substream(seed, STREAM_SYNTH, 1, label * per_class + i)
-            noisy = template + s_rng.normal(0.0, _SYNTH_NOISE_STD, size=(size, size))
+            noisy = template + s_rng.normal(0.0, _SYNTH_NOISE_STD, size=template.shape)
             quantized = np.rint(np.clip(noisy, 0.0, 1.0) * 255.0) / 255.0
             samples.append(
                 LabeledSample(GrayImage(quantized), label, f"S{i % 10:02d}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import GrayImage, Manifest, ManifestError
 from .network import ModelState, forward, model_dtype, softmax
-from .preprocess import PREPARED_SIZE
+from .preprocess import PREPARED_SIZE, require_prepared
 from .training import model_input
 
 # Gallery rows per forward in build_gallery.  Per image on the fusion CNN
@@ -146,8 +146,7 @@ def mae(true, pred) -> float:
 def _view_origins(px: np.ndarray, window: int) -> tuple[tuple[int, int], ...]:
     """Top-left (y, x) of the five window x window test views of a 48x48
     image: the four corners, then the center."""
-    if px.shape != (PREPARED_SIZE, PREPARED_SIZE):
-        raise ValueError(f"expected {PREPARED_SIZE}x{PREPARED_SIZE} image")
+    require_prepared(px.shape, "image")
     margin = PREPARED_SIZE - window
     center = margin // 2
     return ((0, 0), (0, margin), (margin, 0), (margin, margin), (center, center))

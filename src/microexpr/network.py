@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .preprocess import PREPARED_SIZE, PixelStats
+from .preprocess import PREPARED_SIZE, PixelStats, require_prepared
 from .rng import STREAM_INIT, substream
 
 TENSOR_MAGIC = b"MFETENSOR1\n"
@@ -572,7 +572,8 @@ def save_checkpoint(path, model: ModelState) -> None:
 
 def load_checkpoint(path) -> ModelState:
     """Read a save_checkpoint file; a malformed one, or one with a non-finite
-    parameter or center, raises ValueError."""
+    parameter or center or pixel statistics not of the prepared shape,
+    raises ValueError."""
     meta, tensors = _read_tensors(path, 2)
     if len(meta) != 2 or not meta[1].startswith("classes "):
         raise ValueError("checkpoint header must be an arch line and a classes line")
@@ -589,6 +590,8 @@ def load_checkpoint(path) -> ModelState:
         if not np.isfinite([tensor.min(), tensor.max()]).all():
             raise ValueError(f"tensor {name} holds non-finite values")
     stats = _stats_from_tensors(tensors) if "pixel_stats.mean" in tensors else None
+    if stats is not None:
+        require_prepared(stats.mean.shape, "pixel statistics")
     if tensors:
         raise ValueError(f"checkpoint has unexpected tensors {sorted(tensors)}")
     return ModelState(arch, params, centers, class_names, stats)

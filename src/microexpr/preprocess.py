@@ -25,6 +25,14 @@ LOG_DELTA = 1.0 / 255.0
 PER_IMAGE_EPSILON = 1e-6
 
 
+def require_prepared(shape, what: str) -> None:
+    """The one prepared-shape rule: `what` (an image, or pixel statistics
+    fitted on images) must be PREPARED_SIZE x PREPARED_SIZE."""
+    if shape != (PREPARED_SIZE, PREPARED_SIZE):
+        raise ValueError(f"{what} of shape {shape}; prepared images are {PREPARED_SIZE}x"
+                         f"{PREPARED_SIZE}, as `microexpr preprocess` writes them")
+
+
 def require_finite_fields(config) -> None:
     """Refuse NaN and infinite float fields, which slip past every `x < 0`
     style range check."""

@@ -27,6 +27,7 @@ from .preprocess import (
     apply_pixel_stats,
     normalize_per_image,
     require_finite_fields,
+    require_prepared,
     rotate_bilinear,
 )
 from .rng import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_SHUFFLE, substream
@@ -155,11 +156,8 @@ def apply_augment(img: GrayImage, p: AugmentParams, window: int) -> GrayImage:
     Only the crop is computed: the rotation covers the source rows and
     columns the crop's resize taps read, and the same bilinear sampling
     reads them, so every pixel is the same bits as the whole chain's."""
-    if (img.height, img.width) != (PREPARED_SIZE, PREPARED_SIZE):
-        raise ValueError(f"augment expects {PREPARED_SIZE}x{PREPARED_SIZE} input")
-    px = img.pixels
-    if p.mirror:
-        px = px[:, ::-1]
+    require_prepared(img.pixels.shape, "image")
+    px = img.pixels[:, ::-1] if p.mirror else img.pixels
     rows = range(p.crop_y, p.crop_y + window)
     cols = range(p.crop_x, p.crop_x + window)
     if p.size == PREPARED_SIZE:  # bilinear_resize copies at its own size
@@ -263,22 +261,19 @@ def lr_schedule(log: TrainLog, cfg: TrainConfig) -> float:
 # Training driver
 
 
-def prepare_image(img: GrayImage, model: ModelState) -> GrayImage:
-    """Training/inference normalization: per-image, then the model's stored
-    per-pixel statistics when present."""
+def model_input(model: ModelState, img: GrayImage) -> np.ndarray:
+    """What the network is fed for one image, in training and at inference.
+    The descriptor MLP takes the descriptor of any image as loaded (pixel
+    statistics do not apply to it).  The fusion CNN takes a prepared image,
+    normalized per image, then by the model's stored per-pixel statistics
+    when present."""
+    if model.arch.kind != "fusion":
+        return image_descriptor(img)
+    require_prepared(img.pixels.shape, "image")
     out = normalize_per_image(img)
     if model.pixel_stats is not None:
         out = apply_pixel_stats(out, model.pixel_stats)
-    return out
-
-
-def model_input(model: ModelState, img: GrayImage) -> np.ndarray:
-    """What the network is fed for one image, in training and at inference:
-    the prepared pixels for the fusion CNN, the descriptor of the image as
-    loaded for the descriptor MLP (pixel statistics do not apply to it)."""
-    if model.arch.kind == "fusion":
-        return prepare_image(img, model).pixels
-    return image_descriptor(img)
+    return out.pixels
 
 
 def _run_epochs(model, make_batch, labels, cfg,
@@ -375,8 +370,6 @@ def train(
     labels = np.array([s.label for s in samples], dtype=np.int64)
     if model.arch.kind != "fusion":
         return train_on_rows(model, prepared, labels, cfg, checkpoint_every, checkpoint_dir)
-    if prepared.shape[1:] != (PREPARED_SIZE, PREPARED_SIZE):
-        raise ValueError(f"training images must be {PREPARED_SIZE}x{PREPARED_SIZE}")
     n = len(samples)
     dtype = model_dtype(model)
     window = model.arch.input_size

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +452,64 @@ class TestExitCodes:
         assert main(["predict", str(raw), "--checkpoint", str(ckpt)]) == EXIT_VALIDATION
         assert "microexpr preprocess" in capsys.readouterr().err
 
+    def test_descriptor_mlp_takes_any_image_size(self, tmp_path, capsys):
+        """The descriptor MLP reads 64x64 images in train, eval and predict
+        alike, and predict prints the label eval gives the image."""
+        data, run, scored = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        assert main(["synth", "--classes", "2", "--per-class", "3", "--size", "64",
+                     "--seed", "4", "--out", str(data)]) == EXIT_OK
+        assert main(["train", "--train-manifest", str(data / "manifest.csv"),
+                     "--profile", "mlp-handcrafted", "--max-epochs", "2", "--seed", "4",
+                     "--out", str(run)]) == EXIT_OK
+        lines = (data / "manifest.csv").read_text().splitlines()
+        image, label, _ = lines[2].split(",")
+        (data / "one.csv").write_text("\n".join(lines[:3]) + "\n")
+        assert main(["eval", "--test-manifest", str(data / "one.csv"),
+                     "--checkpoint", str(run / "model.ckpt"), "--out", str(scored)]) == EXIT_OK
+        header, *rows = [row.split(",") for row in
+                         (scored / "confusion.csv").read_text().splitlines()]
+        [counts] = [row[1:] for row in rows if row[0] == label]
+        capsys.readouterr()
+        assert main(["predict", str(data / image), "--checkpoint", str(run / "model.ckpt")]) \
+            == EXIT_OK
+        assert capsys.readouterr().out.split()[0] == header[1 + counts.index("1")]
+
+    def test_config_key_set_twice_refused(self, tmp_path, capsys):
+        config, out = tmp_path / "c.cfg", tmp_path / "data"
+        config.write_text("seed = 1\n# seed = 3\nseed = 2\n")
+        rc = main(["synth", "--classes", "2", "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {config}: config line 3: duplicate key 'seed'\n"
+        assert not out.exists()
+
+    def test_second_classes_line_refused(self, tmp_path, capsys):
+        manifest, out = tmp_path / "m.csv", tmp_path / "run"
+        manifest.write_text("# classes: C0,C1\n# classes: C1,C0\npath,label,subject\n"
+                            "f0.pgm,C0,s0\nf1.pgm,C1,s1\n")
+        rc = main(["train", "--train-manifest", str(manifest), "--max-epochs", "1",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 2: a second '# classes:' line\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("again", ["f0.pgm,C1", "f0.pgm,C0"], ids=["conflicting", "same"])
+    def test_prediction_path_named_twice_refused(self, tmp_path, capsys, again):
+        manifest, predictions = tmp_path / "m.csv", tmp_path / "p.csv"
+        manifest.write_text("path,label,subject\nf0.pgm,C0,s0\nf1.pgm,C1,s1\n")
+        # A row for a path outside the manifest is allowed.
+        predictions.write_text("path,predicted_label\nf0.pgm,C0\nf1.pgm,C1\nf9.pgm,C0\n")
+        out = tmp_path / "out"
+        argv = ["eval", "--test-manifest", str(manifest), "--predictions", str(predictions),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        shutil.rmtree(out)
+        predictions.write_text(predictions.read_text() + again + "\n")
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {predictions}: more than one prediction for 'f0.pgm'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt", [
         lambda d: d.replace(b"tensor param:head.w ", b"tensor param:head.x "),
         lambda d: d.replace(b"crop_rows=", b"crop_rowz="),
@@ -611,7 +670,7 @@ class TestExitCodes:
         rc = main(["train", "--train-manifest", str(data / "manifest.csv"), "--max-epochs", "1",
                    "--checkpoint-every", "1", "--out", str(out)])
         assert rc == EXIT_VALIDATION
-        assert "training images must be 48x48" in capsys.readouterr().err
+        assert "prepared images are 48x48" in capsys.readouterr().err
         assert not out.exists()
 
         def forbidden(*args):
@@ -652,7 +711,7 @@ class TestExitCodes:
                    "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
-            f"error: {tmp_path / 'f2.pgm'}: a 40x40 image; training images must be 48x48")
+            f"error: {tmp_path / 'f2.pgm'}: image of shape (40, 40); prepared images are 48x48")
         assert not out.exists()
 
     @pytest.mark.parametrize("profile", ["cnn-fusion", "mlp-handcrafted"])
@@ -669,7 +728,7 @@ class TestExitCodes:
                    "--profile", profile, "--max-epochs", "1", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(
-            f"error: {stats}: pixel statistics of shape (96, 24); training images are 48x48")
+            f"error: {stats}: pixel statistics of shape (96, 24); prepared images are 48x48")
         assert not out.exists()
 
     @pytest.mark.parametrize("profile", ["cnn-fusion", "mlp-handcrafted"])
@@ -948,6 +1007,12 @@ class TestInputFiles:
     `error: <its path>: `, and a path that cannot be read exits 2."""
 
     P6 = b"P6\n48 48\n255\n" + bytes(3 * 48 * 48)
+    # Well-formed, but not what a fusion checkpoint takes: a 64x64 image, and
+    # 40x40 pixel statistics to append to a checkpoint.
+    IMAGE_64 = encode_pgm(GrayImage(np.full((64, 64), 0.5)))
+    STATS_40 = (b"\ntensor pixel_stats.mean 40,40\ntensor pixel_stats.std 40,40\n"
+                b"tensor pixel_stats.epsilon 1\nend\n",
+                np.r_[np.zeros(1600), np.ones(1600), 1e-6].astype("<f4").tobytes())
 
     def case(self, root, input_class):
         """(argv, the input file, malformed bytes for it) for one input class."""
@@ -959,7 +1024,8 @@ class TestInputFiles:
             rows += f"f{i}.pgm,C{i % 2},s{i}\n"
         manifest, gallery = root / "m.csv", root / "g.csv"
         manifest.write_text("# classes: C0,C1\npath,label,subject\n" + rows)
-        gallery.write_text(manifest.read_text())
+        (root / "g4.pgm").write_bytes(encode_pgm(GrayImage(rng.random((48, 48)))))
+        gallery.write_text(manifest.read_text() + "g4.pgm,C0,s4\n")
         config, predictions, stats = root / "c.cfg", root / "p.csv", root / "s.bin"
         config.write_text("seed = 1\n")
         predictions.write_text("path,predicted_label\nf0.pgm,C0\nf1.pgm,C1\nf2.pgm,C0\nf3.pgm,C1\n")
@@ -967,29 +1033,36 @@ class TestInputFiles:
         image = root / "f1.pgm"
         train = ["train", "--train-manifest", str(manifest), "--max-epochs", "1"]
         evaluate = ["eval", "--test-manifest", str(manifest), "--checkpoint", str(ckpt)]
+        nearest = [*evaluate, "--inference-mode", "nearest-feature", "--gallery-manifest",
+                   str(gallery)]
         return {
             "config": (["synth", "--classes", "2", "--config", str(config)], config,
                        b"lr = abc\n"),
             "train-manifest": (train, manifest, b"path,label\nf0.pgm,C0\n"),
             "test-manifest": (evaluate, manifest, b"# classes: C0,C1\npath,label,subject\n"),
-            "gallery-manifest": ([*evaluate, "--inference-mode", "nearest-feature",
-                                  "--gallery-manifest", str(gallery)], gallery,
-                                 b"path,label,subject\n\xff.pgm,C0,s1\n"),
+            "gallery-manifest": (nearest, gallery, b"path,label,subject\n\xff.pgm,C0,s1\n"),
             "features-image": (["features", "--manifest", str(manifest)], image, self.P6),
             "train-image": (train, image, self.P6),
             "eval-image": (evaluate, image, self.P6),
+            "gallery-image": (nearest, root / "g4.pgm", self.P6),
+            "eval-image-64": (evaluate, image, self.IMAGE_64),
+            "gallery-image-64": (nearest, root / "g4.pgm", self.IMAGE_64),
             "predict-image": (["predict", str(image), "--checkpoint", str(ckpt)], image, self.P6),
             "predictions": (["eval", "--test-manifest", str(manifest), "--predictions",
                              str(predictions)], predictions, b"path,label\nf0.pgm,C0\n"),
             "checkpoint": (["predict", str(root / "f0.pgm"), "--checkpoint", str(ckpt)], ckpt,
                            ckpt.read_bytes().replace(b"input_size=42", b"input_size=60", 1)),
+            "checkpoint-stats-40": (evaluate, ckpt, ckpt.read_bytes().replace(
+                b"\nend\n", self.STATS_40[0], 1) + self.STATS_40[1]),
             "stats": ([*train, "--stats", str(stats)], stats, stats.read_bytes()[:-4]),
         }[input_class]
 
-    @pytest.mark.parametrize("mode", ["malformed", "missing"])
-    @pytest.mark.parametrize("input_class", [
+    @pytest.mark.parametrize("input_class, mode", [(input_class, mode) for input_class in [
         "config", "train-manifest", "test-manifest", "gallery-manifest", "features-image",
-        "train-image", "eval-image", "predict-image", "predictions", "checkpoint", "stats"])
+        "train-image", "eval-image", "gallery-image", "predict-image", "predictions",
+        "checkpoint", "stats"] for mode in ("malformed", "missing")] + [
+        (input_class, "malformed")
+        for input_class in ("eval-image-64", "gallery-image-64", "checkpoint-stats-40")])
     def test_error_names_the_file(self, tmp_path, capsys, input_class, mode):
         argv, path, malformed = self.case(tmp_path, input_class)
         if mode == "malformed":

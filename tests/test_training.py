@@ -34,7 +34,7 @@ from microexpr.training import (
     cross_entropy_grad_logits,
     draw_augment_params,
     lr_schedule,
-    prepare_image,
+    model_input,
     sgd_momentum_step,
     train,
     train_on_rows,
@@ -422,7 +422,7 @@ class TestTrainLoop:
         from microexpr.rng import STREAM_AUGMENT, STREAM_DROPOUT
 
         ref, _ = self._fresh(lambda_center=0.0, max_epochs=3)
-        prepared = np.stack([prepare_image(s.image, ref).pixels for s in samples])
+        prepared = np.stack([model_input(ref, s.image) for s in samples])
         labels = np.array([s.label for s in samples])
         n = len(samples)
         velocity = {k: np.zeros_like(v) for k, v in ref.params.items()}
