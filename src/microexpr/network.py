@@ -12,7 +12,9 @@ the fused feature node.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
 from dataclasses import dataclass, fields
 
@@ -486,24 +488,45 @@ def backward(model: ModelState, cache, dlogits: np.ndarray, dfeatures: np.ndarra
 # Tensor files, the one format of checkpoints and pixel statistics: a magic
 # line, optional metadata lines, one `tensor <name> <d1,d2,...>` line per
 # tensor, an `end` line, then little-endian float32 payloads in header order.
+# The writer ends the last tensor line with spaces so that the payloads start
+# at a multiple of PAYLOAD_ALIGN bytes; readers split header lines on
+# whitespace, so files without that padding read the same.
+
+PAYLOAD_ALIGN = 64
 
 
 def _write_tensors(path, meta: list[str], entries: list[tuple[str, np.ndarray]]) -> None:
+    """Write to a temporary file beside path and rename it over path, so a
+    reader that has mapped the old file keeps it, and a failed write leaves
+    the old file whole and no temporary file."""
     lines = meta + [f"tensor {name} {','.join(str(d) for d in tensor.shape)}"
-                    for name, tensor in entries] + ["end"]
+                    for name, tensor in entries]
     # Encoded before the file opens, so a non-ASCII header leaves no file.
-    header = ("\n".join(lines) + "\n").encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC + header)
-        for _, tensor in entries:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+    header = TENSOR_MAGIC + "".join(f"{line}\n" for line in lines).encode("ascii")
+    if entries:
+        header = header[:-1] + b" " * (-(len(header) + len(b"end\n")) % PAYLOAD_ALIGN) + b"\n"
+    header += b"end\n"
+    target = os.path.realpath(path)  # a symlink keeps pointing at the new file
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(header)
+            for _, tensor in entries:
+                fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def _read_tensors(path, meta_lines: int) -> tuple[list[str], dict[str, np.ndarray]]:
     """(metadata lines, {name: float32 array}) of a _write_tensors file whose
-    first meta_lines header lines are metadata; a malformed file raises ValueError."""
+    first meta_lines header lines are metadata; a malformed file raises ValueError.
+    The arrays are copy-on-write views of the mapped file: writable, and a write
+    changes only this process's copy.  A payload that is not 4-byte aligned,
+    as in files written before the padding, is copied."""
     with open(path, "rb") as fh:
-        remaining = os.fstat(fh.fileno()).st_size
         if fh.read(len(TENSOR_MAGIC)) != TENSOR_MAGIC:
             raise ValueError("not a microexpr tensor file (bad magic); to replace an older "
                              "version's file, re-run `microexpr preprocess` or `train`")
@@ -514,8 +537,9 @@ def _read_tensors(path, meta_lines: int) -> tuple[list[str], dict[str, np.ndarra
             # A non-ASCII header raises UnicodeDecodeError, a ValueError.
             lines.append(line[:-1].decode("ascii"))
 
-        # Payloads follow in header order; each size is checked before its array exists.
-        remaining -= fh.tell()
+        # Payloads follow in header order; each size is checked before its view exists.
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        offset, size = fh.tell(), len(data)
         tensors: dict[str, np.ndarray] = {}
         for line in lines[meta_lines:]:
             tokens = line.split()
@@ -527,12 +551,13 @@ def _read_tensors(path, meta_lines: int) -> tuple[list[str], dict[str, np.ndarra
             if name in tensors:
                 raise ValueError(f"duplicate tensor {name!r}")
             count = math.prod(shape)
-            if remaining < 4 * count:
+            if size - offset < 4 * count:
                 raise ValueError(f"payload truncated at tensor {name!r}")
-            tensors[name] = np.fromfile(fh, "<f4", count).reshape(shape)
-            remaining -= 4 * count
-    if remaining:
-        raise ValueError(f"{remaining} payload bytes after the last tensor")
+            view = np.frombuffer(data, "<f4", count, offset).reshape(shape)
+            tensors[name] = np.require(view, requirements="A")
+            offset += 4 * count
+    if offset != size:
+        raise ValueError(f"{size - offset} payload bytes after the last tensor")
     return lines[:meta_lines], tensors
 
 

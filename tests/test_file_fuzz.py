@@ -146,7 +146,7 @@ def mutated_header(rng, data: bytes) -> bytes:
                               "MFETENSOR1 "])
     elif kind == 1:
         i = pick(rng, tensor_lines)
-        _, name, dims = lines[i].split(" ")
+        _, name, dims = lines[i].split()
         dims = dims.split(",")
         j = int(rng.integers(len(dims)))
         edit = int(rng.integers(4))

@@ -8,6 +8,7 @@ from microexpr.network import (
     CONV_CHUNK,
     FusionArch,
     MlpArch,
+    PAYLOAD_ALIGN,
     _arch_from_description,
     _describe_arch,
     backward,
@@ -890,6 +891,91 @@ class TestCheckpoint:
         a, _, _ = forward(model, batch, "eval")
         b, _, _ = forward(loaded, batch, "eval")
         assert np.abs(a - b).max() < 1e-4  # float32 storage quantization
+
+    @staticmethod
+    def _header_len(data: bytes) -> int:
+        return data.index(b"\nend\n") + len(b"\nend\n")
+
+    @staticmethod
+    def _tensors(model):
+        stats = model.pixel_stats
+        return {**model.params, "centers": model.centers,
+                **({} if stats is None else {"mean": stats.mean, "std": stats.std})}
+
+    def _assert_same_tensors(self, loaded, model):
+        expected = self._tensors(model)
+        got = self._tensors(loaded)
+        assert got.keys() == expected.keys()
+        for name, tensor in expected.items():
+            assert np.array_equal(got[name], tensor.astype(np.float32)), name
+
+    def test_payloads_start_on_the_alignment_boundary(self, tmp_path):
+        model = self._model()
+        ckpt, stats = tmp_path / "model.ckpt", tmp_path / "pixel_stats.bin"
+        save_checkpoint(ckpt, model)
+        save_pixel_stats(stats, model.pixel_stats)
+        for path in (ckpt, stats):
+            assert self._header_len(path.read_bytes()) % PAYLOAD_ALIGN == 0
+        self._assert_same_tensors(load_checkpoint(ckpt), model)
+        loaded = load_pixel_stats(stats)
+        assert np.array_equal(loaded.mean, model.pixel_stats.mean.astype(np.float32))
+        assert np.array_equal(loaded.std, model.pixel_stats.std.astype(np.float32))
+
+    def test_loaded_tensors_are_aligned_writable_and_private(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._model())
+        before = path.read_bytes()
+        loaded = load_checkpoint(path)
+        for name, tensor in self._tensors(loaded).items():
+            assert tensor.flags.aligned and tensor.flags.writeable, name
+        loaded.params["head.w"][...] = 7.0
+        loaded.centers += 1.0
+        assert path.read_bytes() == before
+
+    def test_file_without_padding_loads_the_same_tensors(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        data = path.read_bytes()
+        header_len = self._header_len(data)
+        unpadded = b"\n".join(line.rstrip(b" ") for line in data[:header_len].split(b"\n"))
+        assert len(unpadded) % 4  # every payload is misaligned in the mapped file
+        path.write_bytes(unpadded + data[header_len:])
+        loaded = load_checkpoint(path)
+        self._assert_same_tensors(loaded, model)
+        assert all(t.flags.aligned for t in self._tensors(loaded).values())
+
+    def test_save_over_a_mapped_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._model())
+        mapped = load_checkpoint(path)
+        kept = {name: t.copy() for name, t in self._tensors(mapped).items()}
+        replacement = init_model(FusionArch(**TINY, dropout_p=0.25), CLASS3, seed=99)
+        save_checkpoint(path, replacement)
+        for name, tensor in self._tensors(mapped).items():
+            assert np.array_equal(tensor, kept[name]), name
+        self._assert_same_tensors(load_checkpoint(path), replacement)
+
+    def test_failed_write_leaves_the_old_file_whole(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = self._model()
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        # head.b follows every other parameter, so its payload fails partway through.
+        model.params["head.b"] = np.full(model.params["head.b"].shape, "x")
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_write_keeps_a_symlink_and_a_plain_file_mode(self, tmp_path):
+        real, link, plain = tmp_path / "real.ckpt", tmp_path / "link.ckpt", tmp_path / "plain"
+        link.symlink_to(real)
+        save_checkpoint(link, self._model())
+        with open(plain, "wb"):
+            pass
+        assert link.is_symlink() and real.is_file()
+        assert real.stat().st_mode == plain.stat().st_mode
 
 
 class TestTensorFileFuzz:
