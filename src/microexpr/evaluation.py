@@ -6,11 +6,12 @@ Multiclass reduction is one-vs-rest per class.  0/0 ratios are defined as 0.
 Two accuracies are reported side by side: plain trace accuracy and the
 one-vs-rest macro average of (TP+TN)/total, which differ by construction.
 
-Nearest-feature inference builds its gallery once, as an (N, F) feature
-matrix from eval-rowwise forwards of GALLERY_CHUNK images each; every row is
-the same bits as that image's batch-1 extract_features.  Each query is
-forwarded at batch 1 and matched against all rows with one distance
-reduction and an argmin, so ties go to the lowest gallery index.
+Every inference runs one eval forward, _eval_forward, whose row for an
+input is that input's batch-1 bits at any batch size.  Nearest-feature
+inference builds its gallery once, as an (N, F) feature matrix forwarded
+GALLERY_CHUNK images at a time; each query is forwarded at batch 1 and
+matched against all rows with one distance reduction and an argmin, so ties
+go to the lowest gallery index.
 """
 
 from __future__ import annotations
@@ -167,14 +168,19 @@ def _decide(probs: np.ndarray) -> tuple[int, np.ndarray]:
     return int(np.argmax(probs)), probs
 
 
+def _eval_forward(model: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, features) of the eval forward of stacked model inputs in the
+    model's dtype; row i is the bits of batch[i] forwarded alone."""
+    return forward(model, batch.astype(model_dtype(model), copy=False), "eval")[:2]
+
+
 def multicrop_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarray]:
     """Average the softmax over the ten crop views.  Defined for the fusion
     architecture."""
     if model.arch.kind != "fusion":
         raise ValueError("multicrop prediction requires the fusion architecture")
-    views = multicrop_batch(model_input(model, img), model.arch.input_size)
-    views = views.astype(model_dtype(model))
-    logits, _, _ = forward(model, views, "eval")
+    logits, _ = _eval_forward(model, multicrop_batch(model_input(model, img),
+                                                     model.arch.input_size))
     return _decide(softmax(logits).mean(axis=0))
 
 
@@ -192,9 +198,7 @@ def _feature_input(model: ModelState, img: GrayImage) -> np.ndarray:
 def extract_features(model: ModelState, img: GrayImage) -> np.ndarray:
     """Eval-mode feature vector of one image, forwarded at batch 1: the
     representation the nearest-feature rule compares."""
-    batch = _feature_input(model, img)[None].astype(model_dtype(model))
-    _, features, _ = forward(model, batch, "eval")
-    return features[0]
+    return _eval_forward(model, _feature_input(model, img)[None])[1][0]
 
 
 def build_gallery(
@@ -202,17 +206,16 @@ def build_gallery(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels): the (N, F) feature matrix of the gallery images,
     forwarded GALLERY_CHUNK rows at a time, and their (N,) int64 labels.
-    An eval-rowwise forward is batch-invariant, so row i is extract_features
-    of images[i], bit for bit."""
+    The eval forward is batch-invariant, so row i is extract_features of
+    images[i], bit for bit."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (len(images),):
         raise ValueError("need one gallery label per gallery image")
-    dtype = model_dtype(model)
-    features = np.empty((len(images), model.arch.feature_dim), dtype=dtype)
+    features = np.empty((len(images), model.arch.feature_dim), dtype=model_dtype(model))
     for start in range(0, len(images), GALLERY_CHUNK):
         chunk = images[start : start + GALLERY_CHUNK]
-        batch = np.stack([_feature_input(model, img) for img in chunk]).astype(dtype)
-        features[start : start + len(chunk)] = forward(model, batch, "eval-rowwise")[1]
+        batch = np.stack([_feature_input(model, img) for img in chunk])
+        features[start : start + len(chunk)] = _eval_forward(model, batch)[1]
     return features, labels
 
 
@@ -242,8 +245,7 @@ def single_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarray]:
     geometry, so this is their softmax inference)."""
     if model.arch.kind == "fusion":
         return multicrop_predict(model, img)
-    row = model_input(model, img)[None, :]
-    logits, _, _ = forward(model, row.astype(model_dtype(model)), "eval")
+    logits, _ = _eval_forward(model, model_input(model, img)[None, :])
     return _decide(softmax(logits)[0])
 
 

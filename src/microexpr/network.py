@@ -41,7 +41,8 @@ CONV_CHUNK = 32
 def dense_forward(x, w, b, rowwise=False):
     """x @ w + b.  A gemm rounds a row differently at different batch sizes;
     rowwise computes each row as its own vector-matrix product, the product
-    a batch of one gets, so a row's result does not depend on its batch."""
+    a batch of one gets, so a row's result does not depend on its batch.
+    Eval forwards run rowwise; training keeps the faster gemm."""
     out = (x[:, None, :] @ w)[:, 0] if rowwise else x @ w
     return out + b, (x, w)
 
@@ -359,7 +360,7 @@ def model_dtype(model: ModelState):
 def _branch_forward(x2d, params, prefix, mode):
     # Each stage pools before its relu: relu is monotone, so it commutes with
     # max (ties included), and runs on a quarter of the elements.  Only train
-    # mode keeps the pools' gradient routes.
+    # mode keeps the pools' gradient routes; eval runs the fc row by row.
     routes = mode == "train"
     x = x2d[:, None, :, :]
     c1, cc1 = conv2d_forward(x, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
@@ -369,8 +370,7 @@ def _branch_forward(x2d, params, prefix, mode):
     p2, pc2 = maxpool2_forward(c2, routes)
     r2, mask2 = relu_forward(p2)
     flat, flat_shape = flatten_forward(r2)
-    d, dc = dense_forward(flat, params[f"{prefix}.fc.w"], params[f"{prefix}.fc.b"],
-                          mode == "eval-rowwise")
+    d, dc = dense_forward(flat, params[f"{prefix}.fc.w"], params[f"{prefix}.fc.b"], not routes)
     act, mask3 = relu_forward(d)
     cache = (cc1, pc1, mask1, cc2, pc2, mask2, flat_shape, dc, mask3)
     return act, cache
@@ -394,19 +394,18 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
     Fusion arch takes (B, input_size, input_size) images; mlp takes (B, D)
     descriptor rows.  Returns (logits, features, cache); features is the
     fused vector the center loss and nearest-feature prediction operate on.
-    Train mode applies inverted dropout and needs an rng; eval mode is
-    deterministic.  Mode "eval-rowwise" is eval with every dense layer run
-    row by row: convolutions are per-item matmuls and pooling and relu are
-    elementwise, so an item's outputs are then the same bits at every batch
-    size, equal to its batch-1 eval forward.  The cache records the mode; an
-    eval cache holds no pooling routes and serves no backward.
+    Train mode applies inverted dropout and needs an rng.  Eval mode is
+    deterministic and runs every dense layer row by row: convolutions are
+    per-item matmuls and pooling and relu are elementwise, so an item's eval
+    outputs are the same bits at every batch size, equal to its batch-1
+    forward.  The cache records the mode; an eval cache holds no pooling
+    routes and serves no backward.
     """
-    if mode not in ("train", "eval", "eval-rowwise"):
+    if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     arch = model.arch
     params = model.params
     train = mode == "train"
-    rowwise = mode == "eval-rowwise"
     if train and arch.dropout_p > 0.0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
 
@@ -421,37 +420,24 @@ def forward(model: ModelState, batch: np.ndarray, mode: str, rng=None):
         mouth_act, mouth_cache = _branch_forward(mouth, params, "mouth", mode)
 
         a1, split1 = concat_forward(eyes_act, face_act)
-        f1, f1_dense = dense_forward(a1, params["fuse1.w"], params["fuse1.b"], rowwise)
+        f1, f1_dense = dense_forward(a1, params["fuse1.w"], params["fuse1.b"], not train)
         p1, f1_mask = relu_forward(f1)
         a2, split2 = concat_forward(p1, mouth_act)
-        f2, f2_dense = dense_forward(a2, params["fuse2.w"], params["fuse2.b"], rowwise)
+        f2, f2_dense = dense_forward(a2, params["fuse2.w"], params["fuse2.b"], not train)
         features, f2_mask = relu_forward(f2)
+        cache = {"eyes": eyes_cache, "face": face_cache, "mouth": mouth_cache,
+                 "fuse1": (f1_dense, f1_mask, split1), "fuse2": (f2_dense, f2_mask, split2)}
     else:
         if batch.ndim != 2 or batch.shape[1] != arch.input_dim:
             raise ValueError(f"batch shape {batch.shape}, expected (B, {arch.input_dim})")
-        h, h_dense = dense_forward(batch, params["hidden.w"], params["hidden.b"], rowwise)
+        h, h_dense = dense_forward(batch, params["hidden.w"], params["hidden.b"], not train)
         features, h_mask = relu_forward(h)
+        cache = {"hidden": (h_dense, h_mask)}
 
-    if train:
-        dropped, drop_cache = dropout_forward(features, arch.dropout_p, rng)
-    else:
-        dropped, drop_cache = features, None
-    logits, head_dense = dense_forward(dropped, params["head.w"], params["head.b"], rowwise)
-
-    if arch.kind == "fusion":
-        cache = {
-            "mode": mode,
-            "eyes": eyes_cache,
-            "face": face_cache,
-            "mouth": mouth_cache,
-            "fuse1": (f1_dense, f1_mask, split1),
-            "fuse2": (f2_dense, f2_mask, split2),
-            "drop": drop_cache,
-            "head": head_dense,
-        }
-    else:
-        cache = {"mode": mode, "hidden": (h_dense, h_mask), "drop": drop_cache,
-                 "head": head_dense}
+    # Eval drops nothing: dropout_forward passes p = 0 through untouched.
+    dropped, cache["drop"] = dropout_forward(features, arch.dropout_p if train else 0.0, rng)
+    logits, cache["head"] = dense_forward(dropped, params["head.w"], params["head.b"], not train)
+    cache["mode"] = mode
     return logits, features, cache
 
 

@@ -45,8 +45,9 @@ SGD_BLOCK = 1 << 16
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training hit a non-finite loss or gradient; the model was rolled back
-    to the last completed epoch."""
+    """Training hit a non-finite loss or gradient, or a floating-point overflow,
+    invalid value or division by zero; the model was rolled back to the last
+    completed epoch."""
 
 
 @dataclass(frozen=True)
@@ -305,35 +306,39 @@ def _run_epochs(model, make_batch, labels, cfg,
         ce_sum = 0.0
         center_sum = 0.0
         try:
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                batch = make_batch(epoch, idx)
-                drop_rng = substream(cfg.seed, STREAM_DROPOUT, epoch, start)
-                logits, feats, cache = forward(model, batch, "train", drop_rng)
-                probs = softmax(logits)
-                onehot = eye[labels[idx]]
-                ce = cross_entropy(probs, onehot)
-                c_loss, dfeat = center_loss(feats, labels[idx], model.centers)
-                batch_loss = ce + cfg.lambda_center * c_loss
-                if not np.isfinite(batch_loss):
-                    raise NonFiniteLossError(f"non-finite loss in epoch {epoch}")
-                grads = backward(
-                    model, cache, cross_entropy_grad_logits(probs, onehot),
-                    cfg.lambda_center * dfeat,
-                )
-                sgd_momentum_step(model.params, velocity, grads, lr, cfg.momentum)
-                model.centers = update_centers(
-                    model.centers, feats, labels[idx], cfg.alpha_center
-                )
-                loss_sum += batch_loss * len(idx)
-                ce_sum += ce * len(idx)
-                center_sum += c_loss * len(idx)
-        except NonFiniteLossError as err:
+            # The first overflow, invalid value or division by zero raises, not warns.
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    batch = make_batch(epoch, idx)
+                    drop_rng = substream(cfg.seed, STREAM_DROPOUT, epoch, start)
+                    logits, feats, cache = forward(model, batch, "train", drop_rng)
+                    probs = softmax(logits)
+                    onehot = eye[labels[idx]]
+                    ce = cross_entropy(probs, onehot)
+                    c_loss, dfeat = center_loss(feats, labels[idx], model.centers)
+                    batch_loss = ce + cfg.lambda_center * c_loss
+                    if not np.isfinite(batch_loss):
+                        raise NonFiniteLossError(f"non-finite loss in epoch {epoch}")
+                    grads = backward(
+                        model, cache, cross_entropy_grad_logits(probs, onehot),
+                        cfg.lambda_center * dfeat,
+                    )
+                    sgd_momentum_step(model.params, velocity, grads, lr, cfg.momentum)
+                    model.centers = update_centers(
+                        model.centers, feats, labels[idx], cfg.alpha_center
+                    )
+                    loss_sum += batch_loss * len(idx)
+                    ce_sum += ce * len(idx)
+                    center_sum += c_loss * len(idx)
+        except (NonFiniteLossError, FloatingPointError) as err:
             for k, buf in saved.items():
                 np.copyto(model.params[k], buf)
             model.centers = saved_centers
+            if isinstance(err, FloatingPointError):
+                err = NonFiniteLossError(f"non-finite value in epoch {epoch}: {err}")
             err.log = log
-            raise
+            raise err from None
 
         epoch_loss = loss_sum / n
         log.records.append(
@@ -361,7 +366,7 @@ def train(
     Each sample becomes its model_input once: a descriptor model trains on
     those rows through train_on_rows, the fusion CNN on 48x48 images that it
     re-augments every epoch, short final batch included.  On a non-finite loss
-    the last completed epoch is restored and NonFiniteLossError raised with
+    or a floating-point error the last completed epoch is restored and NonFiniteLossError raised with
     the log so far attached.
     """
     if not samples:

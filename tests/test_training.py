@@ -506,7 +506,6 @@ class TestTrainLoop:
             assert trained.params[name].tobytes() == params[name].tobytes(), name
         assert trained.centers.tobytes() == centers.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rollback_equals_clean_run_of_completed_epochs(self, monkeypatch):
         arch, rows, labels = rows_problem()
         cfg = quick_cfg(batch_size=4, max_epochs=6, lambda_center=0.01)
@@ -561,7 +560,6 @@ class TestTrainLoop:
         assert log.records[-1].loss < log.records[0].loss
         assert eval_accuracy(trained, samples) >= 0.9
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_rolls_back_and_raises(self):
         samples = small_corpus(per_class=4)
         model, _ = self._fresh()
