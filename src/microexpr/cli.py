@@ -365,14 +365,14 @@ def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
     """(label, score) per image: the label's softmax probability without a
     gallery manifest (multicrop), else the distance to the nearest gallery entry."""
     if gallery_manifest is None:
-        predictions = [evaluation.single_predict(model, img) for img in images]
-        return [(label, float(probs[label])) for label, probs in predictions]
+        return [(label, float(probs[label]))
+                for label, probs in evaluation.single_predict(model, images)]
     gpath, gallery_entries = gallery_manifest
     _require_classes(model, gallery_entries, gpath)
     samples = _load_samples(gpath, gallery_entries, model.arch.kind == "fusion")
     gallery = evaluation.build_gallery(model, [s.image for s in samples],
                                        [s.label for s in samples])
-    return [evaluation.nearest_feature_predict(model, img, gallery) for img in images]
+    return evaluation.nearest_feature_predict(model, images, gallery)
 
 
 def _read_predictions(path: Path) -> dict[str, str]:

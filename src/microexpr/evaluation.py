@@ -7,15 +7,21 @@ Two accuracies are reported side by side: plain trace accuracy and the
 one-vs-rest macro average of (TP+TN)/total, which differ by construction.
 
 Every inference runs one eval forward, _eval_forward, whose row for an
-input is that input's batch-1 bits at any batch size.  Nearest-feature
-inference builds its gallery once, as an (N, F) feature matrix forwarded
-GALLERY_CHUNK images at a time; each query is forwarded at batch 1 and
-matched against all rows with one distance reduction and an argmin, so ties
-go to the lowest gallery index.
+input is that input's batch-1 bits at any batch size.  An image set goes
+through one chunked helper, _eval_rows, GALLERY_CHUNK images per forward:
+the nearest-feature gallery, and the softmax eval and nearest-feature
+queries of descriptor models, whose 27 MB hidden weight is then read from
+memory once per chunk rather than once per image (network._packed_rowwise).
+Multicrop forwards one image's ten views at a time, and fusion queries go
+one image per forward (FUSION_QUERY_CHUNK).  Each query is matched against
+all gallery rows with one distance reduction and an argmin, so ties go to
+the lowest gallery index.  A numpy overflow or invalid value in an eval
+forward raises the non-finite probability or distance error, not a warning.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -28,11 +34,24 @@ from .network import ModelState, forward, model_dtype, softmax
 from .preprocess import PREPARED_SIZE, require_prepared
 from .training import model_input
 
-# Gallery rows per forward in build_gallery.  Per image on the fusion CNN
-# (280 images, one BLAS thread, 2-vCPU host): 16 rows 0.45-0.50 ms; 24 and
-# 32 rows 0.49 ms in some runs and 0.73 ms in others; 64 rows 0.74 ms; one
-# row 0.84 ms.
+# Images per eval forward of an image set: the gallery, descriptor-model
+# softmax eval and descriptor-model nearest-feature queries.  Per image on
+# the fusion CNN (280 images, one BLAS thread, 2-vCPU host): 16 rows
+# 0.45-0.50 ms; 24 and 32 rows 0.49 ms in some runs and 0.73 ms in others;
+# 64 rows 0.74 ms; one row 0.84 ms.  Forward per image of 21 descriptor
+# rows into the mlp-handcrafted network (26300x256 float32 hidden weight,
+# medians of 7 interleaved rounds): 16 rows 1.83 ms, one row 2.64 ms, one
+# chunk of all 21 rows 1.49 ms.
 GALLERY_CHUNK = 16
+
+# Fusion nearest-feature queries go one image per forward.  That forward is
+# the only batch-1 eval forward of the fusion benchmark workload, which
+# times it as network.forward.b1_ms (bench/README.md); chunking the queries
+# would leave that figure without a measurement.
+FUSION_QUERY_CHUNK = 1
+
+PROBS_ERROR = "non-finite class probabilities from the checkpoint"
+DISTANCE_ERROR = "non-finite distance between the query and gallery features"
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +183,21 @@ def multicrop_batch(px: np.ndarray, window: int) -> np.ndarray:
 def _decide(probs: np.ndarray) -> tuple[int, np.ndarray]:
     """(argmax, probs), ties to the lowest class; non-finite probs raise."""
     if not np.isfinite(probs).all():
-        raise ValueError("non-finite class probabilities from the checkpoint")
+        raise ValueError(PROBS_ERROR)
     return int(np.argmax(probs)), probs
+
+
+@contextlib.contextmanager
+def _finite(error: str):
+    """Run numpy with overflow, invalid values and division by zero raising,
+    and report them as ValueError(error) instead of a RuntimeWarning: a
+    checkpoint whose learning rate blew up holds finite weights that
+    overflow in a forward."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(error) from None
 
 
 def _eval_forward(model: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,9 +211,10 @@ def multicrop_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarra
     architecture."""
     if model.arch.kind != "fusion":
         raise ValueError("multicrop prediction requires the fusion architecture")
-    logits, _ = _eval_forward(model, multicrop_batch(model_input(model, img),
-                                                     model.arch.input_size))
-    return _decide(softmax(logits).mean(axis=0))
+    views = multicrop_batch(model_input(model, img), model.arch.input_size)
+    with _finite(PROBS_ERROR):
+        probs = softmax(_eval_forward(model, views)[0]).mean(axis=0)
+    return _decide(probs)
 
 
 def _feature_input(model: ModelState, img: GrayImage) -> np.ndarray:
@@ -195,58 +228,78 @@ def _feature_input(model: ModelState, img: GrayImage) -> np.ndarray:
     return px[y : y + window, x : x + window]
 
 
-def extract_features(model: ModelState, img: GrayImage) -> np.ndarray:
-    """Eval-mode feature vector of one image, forwarded at batch 1: the
-    representation the nearest-feature rule compares."""
-    return _eval_forward(model, _feature_input(model, img)[None])[1][0]
+def _eval_rows(
+    model: ModelState, images: list[GrayImage], chunk: int, error: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, features), one row per image, of the eval forward of each
+    image's _feature_input, `chunk` images per forward.  Row i is the bits
+    of images[i] forwarded alone.  A numpy overflow or invalid value in a
+    forward raises ValueError(error)."""
+    dtype = model_dtype(model)
+    logits = np.empty((len(images), model.arch.classes), dtype=dtype)
+    features = np.empty((len(images), model.arch.feature_dim), dtype=dtype)
+    for start in range(0, len(images), chunk):
+        batch = np.stack([_feature_input(model, img) for img in images[start : start + chunk]])
+        rows = slice(start, start + len(batch))
+        with _finite(error):
+            logits[rows], features[rows] = _eval_forward(model, batch)
+    return logits, features
+
+
+def extract_features(model: ModelState, images: list[GrayImage]) -> np.ndarray:
+    """(N, F) eval-mode feature vectors of the images, GALLERY_CHUNK per
+    forward: the representation the nearest-feature rule compares."""
+    return _eval_rows(model, images, GALLERY_CHUNK, DISTANCE_ERROR)[1]
 
 
 def build_gallery(
     model: ModelState, images: list[GrayImage], labels
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(features, labels): the (N, F) feature matrix of the gallery images,
-    forwarded GALLERY_CHUNK rows at a time, and their (N,) int64 labels.
-    The eval forward is batch-invariant, so row i is extract_features of
-    images[i], bit for bit."""
+    """(features, labels): extract_features of the gallery images and their
+    (N,) int64 labels."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (len(images),):
         raise ValueError("need one gallery label per gallery image")
-    features = np.empty((len(images), model.arch.feature_dim), dtype=model_dtype(model))
-    for start in range(0, len(images), GALLERY_CHUNK):
-        chunk = images[start : start + GALLERY_CHUNK]
-        batch = np.stack([_feature_input(model, img) for img in chunk])
-        features[start : start + len(chunk)] = _eval_forward(model, batch)[1]
-    return features, labels
+    return extract_features(model, images), labels
 
 
 def nearest_feature_predict(
-    model: ModelState, img: GrayImage, gallery: tuple[np.ndarray, np.ndarray]
-) -> tuple[int, float]:
-    """(label, distance) of the build_gallery row that is L2-closest to the
-    input's features; ties break to the lowest gallery index.  A non-finite
-    distance raises ValueError."""
+    model: ModelState, images: list[GrayImage], gallery: tuple[np.ndarray, np.ndarray]
+) -> list[tuple[int, float]]:
+    """(label, distance) per image: the build_gallery row that is L2-closest
+    to the image's features; ties break to the lowest gallery index.  A
+    non-finite distance raises ValueError."""
     gallery_features, gallery_labels = gallery
     if len(gallery_features) == 0:
         raise ValueError("empty gallery")
-    feat = extract_features(model, img)
-    if gallery_features.shape[1:] != feat.shape:
+    if gallery_features.shape[1:] != (model.arch.feature_dim,):
         raise ValueError("gallery feature dimension mismatch")
-    # The same reduction as np.linalg.norm of one row, bit for bit.
-    diff = feat - gallery_features
-    dists = np.sqrt(np.vecdot(diff, diff))
-    if not np.isfinite(dists).all():
-        raise ValueError("non-finite distance between the query and gallery features")
-    best = int(np.argmin(dists))
-    return int(gallery_labels[best]), float(dists[best])
+    chunk = FUSION_QUERY_CHUNK if model.arch.kind == "fusion" else GALLERY_CHUNK
+    queries = _eval_rows(model, images, chunk, DISTANCE_ERROR)[1]
+    predictions = []
+    with _finite(DISTANCE_ERROR):
+        for feat in queries:
+            # The same reduction as np.linalg.norm of one row, bit for bit.
+            diff = feat - gallery_features
+            dists = np.sqrt(np.vecdot(diff, diff))
+            if not np.isfinite(dists).all():
+                raise ValueError(DISTANCE_ERROR)
+            best = int(np.argmin(dists))
+            predictions.append((int(gallery_labels[best]), float(dists[best])))
+    return predictions
 
 
-def single_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarray]:
-    """Plain eval-mode softmax prediction (descriptor models have no crop
-    geometry, so this is their softmax inference)."""
+def single_predict(model: ModelState, images: list[GrayImage]) -> list[tuple[int, np.ndarray]]:
+    """Plain eval-mode softmax prediction, (label, probs) per image:
+    multicrop_predict for the fusion CNN, one image per forward; descriptor
+    models have no crop geometry and go GALLERY_CHUNK images per forward."""
     if model.arch.kind == "fusion":
-        return multicrop_predict(model, img)
-    logits, _ = _eval_forward(model, model_input(model, img)[None, :])
-    return _decide(softmax(logits)[0])
+        return [multicrop_predict(model, img) for img in images]
+    logits, _ = _eval_rows(model, images, GALLERY_CHUNK, PROBS_ERROR)
+    # Softmax row by row, each the (1, classes) softmax of a one-image call.
+    with _finite(PROBS_ERROR):
+        probs = [softmax(row[None])[0] for row in logits]
+    return [_decide(p) for p in probs]
 
 
 # ---------------------------------------------------------------------------

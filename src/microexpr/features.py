@@ -87,8 +87,11 @@ def _lbp_codes(px: np.ndarray) -> np.ndarray:
     h, w = px.shape
     center = px[1:-1, 1:-1]
     codes = np.zeros((h - 2, w - 2), dtype=np.uint8)
+    # One comparison buffer and one bit buffer serve all eight neighbors.
+    above, bit = np.empty(codes.shape, dtype=bool), np.empty(codes.shape, dtype=np.uint8)
     for i, (r, c) in enumerate(LBP_OFFSETS):
-        codes |= (px[r : r + h - 2, c : c + w - 2] >= center).astype(np.uint8) << i
+        np.greater_equal(px[r : r + h - 2, c : c + w - 2], center, out=above)
+        codes |= np.left_shift(above.view(np.uint8), i, out=bit)
     return codes
 
 
@@ -135,10 +138,12 @@ def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("image must be at least 3x3")
     px = img.pixels
     gx, gy = np.empty_like(px), np.empty_like(px)
-    gx[:, 1:-1] = px[:, 2:] - px[:, :-2]
-    gx[:, [0, -1]] = px[:, [1, -1]] - px[:, [0, -2]]
-    gy[1:-1] = px[2:] - px[:-2]
-    gy[[0, -1]] = px[[1, -1]] - px[[0, -2]]
+    np.subtract(px[:, 2:], px[:, :-2], out=gx[:, 1:-1])
+    np.subtract(px[:, 1], px[:, 0], out=gx[:, 0])
+    np.subtract(px[:, -1], px[:, -2], out=gx[:, -1])
+    np.subtract(px[2:], px[:-2], out=gy[1:-1])
+    np.subtract(px[1], px[0], out=gy[0])
+    np.subtract(px[-1], px[-2], out=gy[-1])
     return gx, gy
 
 
@@ -161,26 +166,38 @@ def hog_descriptor(img: GrayImage, cell: int, bins: int) -> np.ndarray:
         raise ValueError("need at least 2 orientation bins")
     if img.height < cell or img.width < cell:
         raise ValueError(f"image {img.width}x{img.height} smaller than one {cell}px cell")
-    gx, gy = gradients(img)
-    q, theta = gradient_polar(gx, gy)
     cells_y, cells_x = img.height // cell, img.width // cell
-    q, theta = q[: cells_y * cell, : cells_x * cell], theta[: cells_y * cell, : cells_x * cell]
+    h, w = cells_y * cell, cells_x * cell
+    gx, gy = gradients(img)
+    gx, gy = gx[:h, :w], gy[:h, :w]
 
-    t = theta / (np.pi / bins) - 0.5
-    lower = np.floor(t).astype(np.int64)
-    frac = t - lower
-    # theta lies in [0, pi), so lower lies in [-1, bins - 1]: wrap both neighbours.
-    upper = lower + 1
-    upper[upper >= bins] -= bins
-    lower[lower < 0] += bins
+    # gradient_polar's q and theta, computed in the gradients' buffers and
+    # without its q == 0 fix-up: q is 0 only where gx and gy are both +-0,
+    # and those angles wrap to +-0, which give the t of theta 0.
+    q = np.hypot(gx, gy)
+    theta = np.arctan2(gy, gx, out=gy)
+    np.add(theta, np.pi, out=theta, where=theta < 0)
+    theta[theta >= np.pi] = 0.0
+    t = np.divide(theta, np.pi / bins, out=theta)
+    t -= 0.5
+    lower = np.floor(t, out=gx)
+    frac = np.subtract(t, lower, out=t)
+    # theta lies in [0, pi), so floor(t) + 1 lies in [0, bins]: it indexes
+    # the wrapped bins below and above t.
+    index = lower.astype(np.intp)
+    index += 1
+    bin_below, bin_above = np.arange(-1, bins) % bins, np.arange(bins + 1) % bins
 
     # One vote pass per neighbour bin, keyed by (cell, bin).  bincount adds a
     # key's votes in row-major pixel order, the order of a cell-by-cell pass,
     # so every sum is the same to the bit.
     n = cells_y * cells_x * bins
-    key = _cell_keys(cells_y * cell, cells_x * cell, cells_y, cells_x, bins)
-    votes_lo = np.bincount((key + lower).ravel(), (q * (1 - frac)).ravel(), n)
-    votes_hi = np.bincount((key + upper).ravel(), (q * frac).ravel(), n)
+    key = _cell_keys(h, w, cells_y, cells_x, bins)
+    weight = np.subtract(1, frac, out=lower)
+    weight *= q
+    votes_lo = np.bincount((key + bin_below[index]).ravel(), weight.ravel(), n)
+    frac *= q
+    votes_hi = np.bincount((key + bin_above[index]).ravel(), frac.ravel(), n)
     hists = (votes_lo + votes_hi).reshape(cells_y, cells_x, bins)
 
     # Each 2x2 block concatenates its cells (0,0), (0,1), (1,0), (1,1);

@@ -32,6 +32,20 @@ TENSOR_MAGIC = b"MFETENSOR1\n"
 # 276-382 at 32, 276-343 at 64, 323-447 at 128, 290-371 unchunked.
 CONV_CHUNK = 32
 
+# When a rowwise dense_forward packs its weight (_packed_rowwise).  A block of
+# PACK_COLUMNS float32 columns is one 64-byte line per weight row.  With
+# OpenBLAS 0.3.31, 16- to 128-column blocks gave every row the bits of its
+# unpacked product, and 4- and 8-column blocks, or a width that is not a
+# multiple of 16, did not.  Packed against unpacked ms on the descriptor MLP's
+# 26300x256 float32 hidden.w (27 MB; one BLAS thread, 2-vCPU host, 2 MiB L2
+# per core; medians of 7 interleaved rounds in a fast and a slow phase of the
+# shared host): 1 row 11.5/2.4, 8 rows 17.9/20.0 and 27.7/22.3, 10 rows
+# 19.9/22.7 and 28.6/29.8, 16 rows 24.4/40.3 and 35.5/44.6.  Every fusion
+# layer is under PACK_MIN_BYTES: face fc.w, the largest, is 1.3 MB in float32.
+PACK_COLUMNS = 16
+PACK_MIN_BYTES = 4 << 20
+PACK_MIN_ROWS = 10
+
 
 # ---------------------------------------------------------------------------
 # Layer primitives.  Each forward returns (out, cache); each backward takes
@@ -42,9 +56,30 @@ def dense_forward(x, w, b, rowwise=False):
     """x @ w + b.  A gemm rounds a row differently at different batch sizes;
     rowwise computes each row as its own vector-matrix product, the product
     a batch of one gets, so a row's result does not depend on its batch.
-    Eval forwards run rowwise; training keeps the faster gemm."""
-    out = (x[:, None, :] @ w)[:, 0] if rowwise else x @ w
+    Eval forwards run rowwise; training keeps the faster gemm.  A rowwise
+    product over a weight too large for cache, shared by enough rows, runs
+    through _packed_rowwise."""
+    if not rowwise:
+        out = x @ w
+    elif (len(x) >= PACK_MIN_ROWS and w.nbytes >= PACK_MIN_BYTES
+          and w.shape[1] % PACK_COLUMNS == 0):
+        out = _packed_rowwise(x, w)
+    else:
+        out = (x[:, None, :] @ w)[:, 0]
     return out + b, (x, w)
+
+
+def _packed_rowwise(x, w):
+    """(x[:, None, :] @ w)[:, 0], the same bits, with w read from memory once
+    rather than once per row: each PACK_COLUMNS-wide column block of w is
+    copied into one contiguous buffer, which stays in cache while every row
+    is multiplied by it (the packing step of Goto and van de Geijn's gemm)."""
+    out = np.empty((len(x), w.shape[1]), dtype=np.result_type(x, w))
+    block = np.empty((w.shape[0], PACK_COLUMNS), dtype=w.dtype)
+    for j in range(0, w.shape[1], PACK_COLUMNS):
+        np.copyto(block, w[:, j : j + PACK_COLUMNS])
+        np.matmul(x[:, None, :], block, out=out[:, None, j : j + PACK_COLUMNS])
+    return out
 
 
 def dense_backward(dout, cache, input_grad=True):

@@ -478,9 +478,9 @@ def test_nearest_feature_mode():
         )
         for _ in range(100):
             probe = GrayImage(rng.random((48, 48)))
-            feat = extract_features(model, probe)
+            [feat] = extract_features(model, [probe])
             scan = [float(np.sqrt(((feat - g) ** 2).sum())) for g in gallery[0]]
             expected = gallery_labels[int(np.argmin(scan))]
-            got, dist = nearest_feature_predict(model, probe, gallery)
+            [(got, dist)] = nearest_feature_predict(model, [probe], gallery)
             assert got == expected
             assert dist == pytest.approx(min(scan))

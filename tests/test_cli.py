@@ -364,6 +364,55 @@ class TestPipeline:
         assert predicted == trained
         assert (load_checkpoint(ckpt).pixel_stats is None) == (profile == "mlp-handcrafted")
 
+    @pytest.mark.parametrize("profile", ["cnn-fusion", "mlp-handcrafted"])
+    def test_eval_chunks_change_no_output(self, tmp_path, capsys, monkeypatch, profile):
+        """Softmax and nearest-feature eval and predict print and write the
+        same bytes with one image per forward as with the default chunks,
+        which pack the descriptor MLP's hidden weight."""
+        data, work, run = tmp_path / "data", tmp_path / "work", tmp_path / "run"
+        assert main(["synth", "--classes", "2", "--per-class", "12", "--seed", "4",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
+                     "--split-fraction", "0.25", "--seed", "4", "--out", str(work)]) == EXIT_OK
+        assert main(["train", "--train-manifest", str(work / "train.csv"),
+                     "--stats", str(work / "pixel_stats.bin"), "--profile", profile,
+                     "--max-epochs", "1", "--seed", "4", "--out", str(run)]) == EXIT_OK
+        ckpt = str(run / "model.ckpt")
+        # All 24 images, so a default chunk holds more than PACK_MIN_ROWS rows.
+        images = str(work / "manifest.csv")
+        nearest = ["--inference-mode", "nearest-feature", "--gallery-manifest", images]
+        image = str(work / (work / "test.csv").read_text().splitlines()[2].split(",")[0])
+        calls = {"eval": ["eval", "--test-manifest", images, "--checkpoint", ckpt],
+                 "eval-nearest": ["eval", "--test-manifest", images, "--checkpoint", ckpt,
+                                  *nearest],
+                 "predict": ["predict", image, "--checkpoint", ckpt],
+                 "predict-nearest": ["predict", image, "--checkpoint", ckpt, *nearest]}
+        packed = []
+        pack = network._packed_rowwise
+
+        def counted(*args):
+            packed.append(args)
+            return pack(*args)
+
+        monkeypatch.setattr(network, "_packed_rowwise", counted)
+
+        def outputs(tag):
+            capsys.readouterr()
+            got = {}
+            for name, argv in calls.items():
+                out = tmp_path / f"{tag}-{name}"
+                extra = ["--out", str(out)] if argv[0] == "eval" else []
+                assert main(argv + extra) == EXIT_OK
+                got[name] = capsys.readouterr().out
+                if extra:
+                    got[name] += (out / "metrics.json").read_text()
+            return got
+
+        default = outputs("default")
+        assert bool(packed) == (profile == "mlp-handcrafted")
+        monkeypatch.setattr(evaluation, "GALLERY_CHUNK", 1)
+        assert outputs("one") == default
+
     def test_mlp_profile_trains_and_evaluates(self, tmp_path):
         run = run_pipeline(tmp_path, classes=2, per_class=6, epochs=2,
                            extra_train=["--profile", "mlp-handcrafted"])
@@ -555,7 +604,6 @@ class TestExitCodes:
         assert "tensor param:fuse2.b holds non-finite values" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blown_up_checkpoint_serves_no_nan(self, tmp_path, capsys):
         """A run whose rate blows up leaves finite but huge weights, whose
         softmax is NaN: eval and predict refuse it instead of scoring it."""

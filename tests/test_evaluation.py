@@ -223,7 +223,7 @@ class TestNearestFeature:
         rng = np.random.default_rng(11)
         imgs = [GrayImage(rng.random((48, 48))) for _ in range(4)]
         gallery = build_gallery(model, imgs, range(4))
-        label, dist = nearest_feature_predict(model, imgs[2], gallery)
+        [(label, dist)] = nearest_feature_predict(model, [imgs[2]], gallery)
         assert label == 2
         assert dist == 0.0
 
@@ -231,7 +231,7 @@ class TestNearestFeature:
         model = fusion_model(seed=12)
         rng = np.random.default_rng(13)
         gallery = build_gallery(model, [GrayImage(rng.random((48, 48)))], [5])
-        label, _ = nearest_feature_predict(model, GrayImage(rng.random((48, 48))), gallery)
+        [(label, _)] = nearest_feature_predict(model, [GrayImage(rng.random((48, 48)))], gallery)
         assert label == 5
 
     def test_matches_brute_force_scan(self):
@@ -242,23 +242,23 @@ class TestNearestFeature:
         gallery = build_gallery(model, gallery_imgs, labels)
         for _ in range(30):
             probe = GrayImage(rng.random((48, 48)))
-            feat = extract_features(model, probe)
+            [feat] = extract_features(model, [probe])
             dists = [float(np.sqrt(((feat - g) ** 2).sum())) for g in gallery[0]]
             expected = labels[int(np.argmin(dists))]
-            got, _ = nearest_feature_predict(model, probe, gallery)
+            [(got, _)] = nearest_feature_predict(model, [probe], gallery)
             assert got == expected
 
     def test_empty_gallery_rejected(self):
         model = fusion_model()
         with pytest.raises(ValueError, match="empty"):
-            nearest_feature_predict(model, GrayImage(np.zeros((48, 48))),
+            nearest_feature_predict(model, [GrayImage(np.zeros((48, 48)))],
                                     build_gallery(model, [], []))
 
     def test_dimension_mismatch_rejected(self):
         model = fusion_model(seed=16)
         bad_gallery = (np.zeros((1, 5)), np.array([0]))
         with pytest.raises(ValueError, match="dimension"):
-            nearest_feature_predict(model, GrayImage(np.zeros((48, 48))), bad_gallery)
+            nearest_feature_predict(model, [GrayImage(np.zeros((48, 48)))], bad_gallery)
 
 
 class TestGallery:
@@ -274,7 +274,7 @@ class TestGallery:
         labels = rng.integers(0, 3, size=n)
         features, got_labels = build_gallery(model, imgs, labels)
         assert features.shape == (n, model.arch.feature_dim)
-        assert np.array_equal(features, np.stack([extract_features(model, img) for img in imgs]))
+        assert np.array_equal(features, np.stack([extract_features(model, [img])[0] for img in imgs]))
         assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
 
     def test_descriptor_model_matrix_is_stacked_extract_features(self):
@@ -286,7 +286,7 @@ class TestGallery:
                        hidden_units=16)
         model = init_model(arch, CLASS3, seed=23, dtype=np.float32)
         features, _ = build_gallery(model, imgs, [0] * len(imgs))
-        assert np.array_equal(features, np.stack([extract_features(model, img) for img in imgs]))
+        assert np.array_equal(features, np.stack([extract_features(model, [img])[0] for img in imgs]))
 
     def test_label_count_must_match(self):
         model = fusion_model(seed=24)
@@ -303,24 +303,24 @@ class TestGallery:
                    np.concatenate([labels, (labels + 1) % 3]))
         probes = imgs + [GrayImage(rng.random((48, 48))) for _ in range(10)]
         for probe in probes:
-            feat = extract_features(model, probe)
+            [feat] = extract_features(model, [probe])
             norms = [float(np.linalg.norm(feat - g)) for g in gallery[0]]
-            label, dist = nearest_feature_predict(model, probe, gallery)
+            [(label, dist)] = nearest_feature_predict(model, [probe], gallery)
             assert dist == min(norms)
             assert label == gallery[1][norms.index(min(norms))]
             assert norms.index(min(norms)) < 6
             for k, g in enumerate(gallery[0]):
-                _, single = nearest_feature_predict(model, probe, (g[None], labels[:1]))
+                [(_, single)] = nearest_feature_predict(model, [probe], (g[None], labels[:1]))
                 assert single == norms[k]
         for k, img in enumerate(imgs):
-            assert nearest_feature_predict(model, img, gallery) == (labels[k], 0.0)
+            assert nearest_feature_predict(model, [img], gallery) == [(labels[k], 0.0)]
 
     def test_non_finite_distance_raises(self):
         model = fusion_model(seed=27)
         features, labels = build_gallery(model, [GrayImage(np.zeros((48, 48)))] * 2, [0, 1])
         features[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            nearest_feature_predict(model, GrayImage(np.zeros((48, 48))), (features, labels))
+            nearest_feature_predict(model, [GrayImage(np.zeros((48, 48)))], (features, labels))
 
 
 class TestArchWindow:
@@ -337,8 +337,8 @@ class TestArchWindow:
 
         def serve(m):
             gallery = build_gallery(m, images, [s.label for s in samples])
-            return ([single_predict(m, img) for img in images],
-                    [nearest_feature_predict(m, img, gallery) for img in images])
+            return ([single_predict(m, [img])[0] for img in images],
+                    [nearest_feature_predict(m, [img], gallery)[0] for img in images])
 
         softmax_preds, nearest = serve(model)
         # The gallery and the query crop the same view of each image.
@@ -359,7 +359,7 @@ class TestSinglePredictMlp:
         probe_desc = handcrafted_descriptor(crop_regions(img))
         arch = MlpArch(classes=3, input_dim=probe_desc.size, hidden_units=16)
         model = init_model(arch, CLASS3, seed=18)
-        label, probs = single_predict(model, img)
+        [(label, probs)] = single_predict(model, [img])
         assert 0 <= label < 3
         assert abs(probs.sum() - 1.0) < 1e-9
 

@@ -459,6 +459,55 @@ class TestHistogramParity:
             weights[0, 0] = 1.0
 
 
+def edge_images():
+    """(name, pixels) of inputs at the edges of the HOG angle and LBP code
+    arithmetic."""
+    rng = np.random.default_rng(39)
+    signed_zeros = rng.random((40, 50))
+    signed_zeros[rng.random(signed_zeros.shape) < 0.4] = -0.0
+    signed_zeros[rng.random(signed_zeros.shape) < 0.2] = 0.0
+    lines = rng.random((40, 50))
+    lines[7], lines[:, 11], lines[20:30, 30:45] = 0.5, 0.25, 0.75
+    # Falling rows between rows of +0.0 and -0.0: gx < 0 with gy = +0
+    # (theta = pi) or gy = -0.0 (theta = -pi).
+    falling = np.tile(np.linspace(1.0, 0.0, 50), (40, 1))
+    falling[0::4], falling[2::4] = 0.0, -0.0
+    ramp = np.add.outer(np.arange(40), 3 * np.arange(50)) % 256 / 255.0
+    images = [("signed zeros", signed_zeros), ("constant lines", lines), ("theta = +-pi", falling),
+              ("8-bit ramp", ramp), ("8-bit ramp transposed", ramp.T.copy()),
+              ("all -0.0", np.full((30, 30), -0.0))]
+    for k in range(2):
+        face = GrayImage(np.rint(rng.random((48, 48)) * 255.0) / 255.0)
+        images += [(f"48x48 #{k} {name}", region.pixels)
+                   for name, region in crop_regions(face).items()]
+    return images
+
+
+class TestEdgeParity:
+    """The fused HOG angle arithmetic and the buffered LBP bits against the
+    cell-by-cell references, byte for byte."""
+
+    @pytest.mark.parametrize("name,px", edge_images(), ids=[n for n, _ in edge_images()])
+    def test_hog_and_lbp_match_references(self, name, px):
+        for cell, bins in ((10, 9), (5, 9), (4, 6), (10, 25)):
+            got = hog_descriptor(GrayImage(px), cell, bins)
+            assert got.tobytes() == reference_hog(px, cell, bins).tobytes(), (cell, bins)
+        assert np.array_equal(_lbp_codes(px), formula_lbp_codes(px))
+        for grid in ((4, 2), (5, 5), (3, 7)):
+            got = lbp_histogram(GrayImage(px), *grid)
+            assert got.tobytes() == reference_lbp_histogram(px, *grid).tobytes(), grid
+
+    def test_edge_images_reach_the_edges(self):
+        images = dict(edge_images())
+        gx, gy = gradients(GrayImage(images["theta = +-pi"]))
+        assert ((gx < 0) & (gy == 0) & ~np.signbit(gy)).sum() > 100
+        assert ((gx < 0) & (gy == 0) & np.signbit(gy)).sum() > 100
+        gx, gy = gradients(GrayImage(images["signed zeros"]))
+        assert (np.signbit(gx) & (gx == 0)).any() and (np.signbit(gy) & (gy == 0)).any()
+        gx, gy = gradients(GrayImage(images["constant lines"]))
+        assert ((gx == 0) & (gy == 0)).sum() > 50
+
+
 def formula_polar(px):
     """gx, gy, q and theta as gradients and gradient_polar had them: edge
     padding and np.mod."""
@@ -471,6 +520,15 @@ def formula_polar(px):
     return gx, gy, q, np.where(q > 0, theta, 0.0)
 
 
+def formula_lbp_codes(px):
+    """int64 LBP codes, one shifted comparison per neighbor."""
+    h, w = px.shape
+    codes = np.zeros((h - 2, w - 2), dtype=np.int64)
+    for i, (dy, dx) in enumerate(((1, 2), (0, 2), (0, 1), (0, 0), (1, 0), (2, 0), (2, 1), (2, 2))):
+        codes |= (px[dy : dy + h - 2, dx : dx + w - 2] >= px[1:-1, 1:-1]).astype(np.int64) << i
+    return codes
+
+
 def formula_reference_descriptor(px):
     """image_descriptor from the formulas it had before its speed-ups:
     formula_polar, np.mod for the bin wrap, int64 LBP codes and the cell keys
@@ -478,9 +536,7 @@ def formula_reference_descriptor(px):
     parts = []
     for (_, (w, h), (gw, gh)), region in zip(REGIONS, crop_regions(GrayImage(px)).values()):
         r = region.pixels
-        codes = np.zeros((h - 2, w - 2), dtype=np.int64)
-        for i, (dy, dx) in enumerate(((1, 2), (0, 2), (0, 1), (0, 0), (1, 0), (2, 0), (2, 1), (2, 2))):
-            codes |= (r[dy : dy + h - 2, dx : dx + w - 2] >= r[1:-1, 1:-1]).astype(np.int64) << i
+        codes = formula_lbp_codes(r)
         rows = np.full(gh, (h - 2) // gh)
         rows[-1] += (h - 2) % gh
         cols = np.full(gw, (w - 2) // gw)

@@ -35,6 +35,7 @@ from microexpr.network import (
     save_pixel_stats,
     softmax,
 )
+from microexpr import network
 from microexpr.dataset import generate_synthetic
 from microexpr.evaluation import multicrop_batch
 from microexpr.preprocess import PixelStats, fit_pixel_stats, normalize_per_image
@@ -248,6 +249,50 @@ class TestRowwiseEval:
         out, _ = dense_forward(x, w, b, rowwise=True)
         assert np.array_equal(out, np.concatenate([dense_forward(x[i : i + 1], w, b)[0]
                                                    for i in range(9)]))
+
+
+class TestPackedRowwise:
+    """A rowwise dense_forward over a large weight packs its column blocks
+    (_packed_rowwise) and still gives each row the bits of its one-row
+    product.  BLAS kernels differ between builds, so every CI numpy runs it."""
+
+    @pytest.fixture(scope="class")
+    def hidden(self):
+        # The descriptor MLP's hidden layer: float32 26300x256, 27 MB.
+        rng = np.random.default_rng(46)
+        w = rng.normal(size=(26300, 256)).astype(np.float32)
+        return w, rng.normal(size=256).astype(np.float32)
+
+    @staticmethod
+    def check_rows(x, w, b, monkeypatch):
+        """Checks every row; returns whether the product was packed."""
+        calls = []
+        pack = network._packed_rowwise
+
+        def counted(*args):
+            calls.append(args)
+            return pack(*args)
+
+        monkeypatch.setattr(network, "_packed_rowwise", counted)
+        out, _ = dense_forward(x, w, b, rowwise=True)
+        for i in range(len(x)):
+            assert out[i : i + 1].tobytes() == (x[i : i + 1] @ w + b).tobytes(), i
+        return bool(calls)
+
+    @pytest.mark.parametrize("rows", [1, 2, 15, 16, 17, 21, 64])
+    def test_mlp_hidden_rows_equal_one_row_products(self, hidden, rows, monkeypatch):
+        w, b = hidden
+        x = np.random.default_rng(rows).normal(size=(rows, len(w))).astype(np.float32)
+        assert self.check_rows(x, w, b, monkeypatch) == (rows >= network.PACK_MIN_ROWS)
+
+    @pytest.mark.parametrize("shape", [(26300, 263), (256, 7), (3000, 64)],
+                             ids=["width-not-a-multiple", "mlp-head", "under-size-threshold"])
+    def test_other_weights_keep_the_plain_product(self, shape, monkeypatch):
+        rng = np.random.default_rng(47)
+        w = rng.normal(size=shape).astype(np.float32)
+        x = rng.normal(size=(21, shape[0])).astype(np.float32)
+        assert not self.check_rows(x, w, rng.normal(size=shape[1]).astype(np.float32),
+                                   monkeypatch)
 
 
 class TestLayerGradients:
