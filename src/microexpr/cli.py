@@ -127,12 +127,12 @@ def _read_manifest_file(path: Path) -> Manifest:
     return _load(path, lambda p: dataset.load_manifest(p.read_text()))
 
 
-def _read_image(path: Path, prepared: bool = False) -> GrayImage:
-    """A PGM image; with prepared, only the shape preprocess writes, which
-    is what the fusion CNN takes (the descriptor MLP takes any image)."""
+def _read_image(path: Path, kind: str | None = None) -> GrayImage:
+    """A PGM image; with an architecture kind, only one that kind takes, so
+    that a refused image is named where it is read."""
     img = dataset.decode_pgm(path.read_bytes())
-    if prepared:
-        preprocess.require_prepared(img.pixels.shape, "image")
+    if kind is not None:
+        training.require_model_image(kind, img.pixels.shape)
     return img
 
 
@@ -143,9 +143,9 @@ def _read_stats(path: Path) -> preprocess.PixelStats:
     return stats
 
 
-def _load_samples(manifest_path: Path, manifest: Manifest, prepared: bool) -> list[LabeledSample]:
+def _load_samples(manifest_path: Path, manifest: Manifest, kind: str) -> list[LabeledSample]:
     return [LabeledSample(_load(manifest_path.parent / path,  # `/` keeps absolute paths
-                                lambda p: _read_image(p, prepared)),
+                                lambda p: _read_image(p, kind)),
                           manifest.label_index(label), subject)
             for path, label, subject in manifest.entries]
 
@@ -245,14 +245,14 @@ def cmd_preprocess(args) -> int:
             samples.append(LabeledSample(img, manifest.label_index(label), subject))
 
     # Split and fit before the first write, so a refused split leaves nothing.
-    try:
+    try:  # too few images in the manifest, of a class or in all
         train_part, _ = dataset.split(samples, args.split_fraction, args.seed,
                                       by_subject=args.split_mode == "subject")
-    except ValueError as err:  # too few images of a class in the manifest
+        stats = preprocess.fit_pixel_stats(
+            [preprocess.normalize_per_image(s.image) for s in train_part])
+    except ValueError as err:
         raise ConfigError(f"{manifest_path}: {err}") from err
     train_ids = {id(s) for s in train_part}
-    normalized = [preprocess.normalize_per_image(s.image) for s in train_part]
-    stats = preprocess.fit_pixel_stats(normalized)
 
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -312,7 +312,7 @@ def cmd_train(args) -> int:
     # statistics do not touch.
     stats = _load(args.stats, _read_stats) if args.stats else None
     fusion = args.profile == "cnn-fusion"
-    samples = _load_samples(manifest_path, manifest, fusion)
+    samples = _load_samples(manifest_path, manifest, "fusion" if fusion else "mlp")
 
     if fusion:
         arch = network.FusionArch(classes=classes, dropout_p=args.dropout_p)
@@ -369,9 +369,9 @@ def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
                 for label, probs in evaluation.single_predict(model, images)]
     gpath, gallery_entries = gallery_manifest
     _require_classes(model, gallery_entries, gpath)
-    samples = _load_samples(gpath, gallery_entries, model.arch.kind == "fusion")
-    gallery = evaluation.build_gallery(model, [s.image for s in samples],
-                                       [s.label for s in samples])
+    samples = _load_samples(gpath, gallery_entries, model.arch.kind)
+    gallery = (evaluation.extract_features(model, [s.image for s in samples]),
+               np.array([s.label for s in samples], dtype=np.int64))
     return evaluation.nearest_feature_predict(model, images, gallery)
 
 
@@ -391,6 +391,8 @@ def _read_predictions(path: Path) -> dict[str, str]:
 
 
 def cmd_eval(args) -> int:
+    if args.predictions and (args.checkpoint or args.gallery_manifest):
+        raise ConfigError("--predictions takes no --checkpoint or --gallery-manifest")
     manifest_path = Path(args.test_manifest)
     manifest = _read_manifest_file(manifest_path)
 
@@ -404,7 +406,7 @@ def cmd_eval(args) -> int:
         gallery_manifest = _read_gallery(args)
         model = _load(args.checkpoint, network.load_checkpoint)
         _require_classes(model, manifest, manifest_path)
-        samples = _load_samples(manifest_path, manifest, model.arch.kind == "fusion")
+        samples = _load_samples(manifest_path, manifest, model.arch.kind)
         true = np.array([s.label for s in samples], dtype=np.int64)
         predictions = _predict(model, [s.image for s in samples], gallery_manifest)
         pred = np.array([label for label, _ in predictions], dtype=np.int64)
@@ -430,7 +432,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     gallery_manifest = _read_gallery(args)
     model = _load(args.checkpoint, network.load_checkpoint)
-    img = _load(args.image, lambda p: _read_image(p, model.arch.kind == "fusion"))
+    img = _load(args.image, lambda p: _read_image(p, model.arch.kind))
     [(label, score)] = _predict(model, [img], gallery_manifest)
     print(f"{model.class_names[label]} {score:.6f}")
     return EXIT_OK

@@ -6,17 +6,18 @@ Multiclass reduction is one-vs-rest per class.  0/0 ratios are defined as 0.
 Two accuracies are reported side by side: plain trace accuracy and the
 one-vs-rest macro average of (TP+TN)/total, which differ by construction.
 
-Every inference runs one eval forward, _eval_forward, whose row for an
-input is that input's batch-1 bits at any batch size.  An image set goes
-through one chunked helper, _eval_rows, GALLERY_CHUNK images per forward:
-the nearest-feature gallery, and the softmax eval and nearest-feature
-queries of descriptor models, whose 27 MB hidden weight is then read from
-memory once per chunk rather than once per image (network._packed_rowwise).
-Multicrop forwards one image's ten views at a time, and fusion queries go
-one image per forward (FUSION_QUERY_CHUNK).  Each query is matched against
-all gallery rows with one distance reduction and an argmin, so ties go to
-the lowest gallery index.  A numpy overflow or invalid value in an eval
-forward raises the non-finite probability or distance error, not a warning.
+Every public inference function takes a list of images and returns one
+result per image.  Each runs the eval forward, whose row for an input is
+that input's batch-1 bits at any batch size.  An image set goes through one
+chunked helper, _eval_rows, GALLERY_CHUNK images per forward: the
+nearest-feature gallery, and the softmax eval and nearest-feature queries of
+descriptor models, whose 27 MB hidden weight is then read from memory once
+per chunk rather than once per image (network._packed_rowwise).  Multicrop
+forwards one image's ten views at a time, and fusion queries go one image
+per forward (FUSION_QUERY_CHUNK).  Each query is matched against all gallery
+rows with one distance reduction and an argmin, so ties go to the lowest
+gallery index.  A numpy overflow or invalid value in an eval forward raises
+the non-finite probability or distance error, not a warning.
 """
 
 from __future__ import annotations
@@ -200,85 +201,66 @@ def _finite(error: str):
         raise ValueError(error) from None
 
 
-def _eval_forward(model: ModelState, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, features) of the eval forward of stacked model inputs in the
-    model's dtype; row i is the bits of batch[i] forwarded alone."""
-    return forward(model, batch.astype(model_dtype(model), copy=False), "eval")[:2]
-
-
-def multicrop_predict(model: ModelState, img: GrayImage) -> tuple[int, np.ndarray]:
-    """Average the softmax over the ten crop views.  Defined for the fusion
+def multicrop_predict(model: ModelState, images: list[GrayImage]) -> list[tuple[int, np.ndarray]]:
+    """(label, probs) per image: the softmax averaged over the image's ten
+    crop views, one image's views per forward.  Defined for the fusion
     architecture."""
     if model.arch.kind != "fusion":
         raise ValueError("multicrop prediction requires the fusion architecture")
-    views = multicrop_batch(model_input(model, img), model.arch.input_size)
+    window, dtype = model.arch.input_size, model_dtype(model)
+    probs = []
     with _finite(PROBS_ERROR):
-        probs = softmax(_eval_forward(model, views)[0]).mean(axis=0)
-    return _decide(probs)
+        for img in images:
+            views = multicrop_batch(model_input(model, img), window).astype(dtype, copy=False)
+            probs.append(softmax(forward(model, views, "eval")[0]).mean(axis=0))
+    return [_decide(p) for p in probs]
 
 
-def _feature_input(model: ModelState, img: GrayImage) -> np.ndarray:
-    """The center crop (view 4 of multicrop_batch) for the fusion CNN, the
-    whole descriptor row for descriptor models."""
-    px = model_input(model, img)
-    if model.arch.kind != "fusion":
-        return px
-    window = model.arch.input_size
-    y, x = _view_origins(px, window)[4]
-    return px[y : y + window, x : x + window]
-
-
-def _eval_rows(
-    model: ModelState, images: list[GrayImage], chunk: int, error: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _eval_rows(model: ModelState, images: list[GrayImage],
+               chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """(logits, features), one row per image, of the eval forward of each
-    image's _feature_input, `chunk` images per forward.  Row i is the bits
-    of images[i] forwarded alone.  A numpy overflow or invalid value in a
-    forward raises ValueError(error)."""
+    image's model_input, cropped to the center view (view 4 of
+    multicrop_batch) for the fusion CNN; `chunk` images per forward.  Row i
+    is the bits of images[i] forwarded alone."""
     dtype = model_dtype(model)
+    window = model.arch.input_size if model.arch.kind == "fusion" else None
     logits = np.empty((len(images), model.arch.classes), dtype=dtype)
     features = np.empty((len(images), model.arch.feature_dim), dtype=dtype)
     for start in range(0, len(images), chunk):
-        batch = np.stack([_feature_input(model, img) for img in images[start : start + chunk]])
+        batch = np.stack([model_input(model, img) for img in images[start : start + chunk]])
+        if window is not None:  # model_input checked every image's shape
+            y, x = _view_origins(batch[0], window)[4]
+            batch = batch[:, y : y + window, x : x + window]
         rows = slice(start, start + len(batch))
-        with _finite(error):
-            logits[rows], features[rows] = _eval_forward(model, batch)
+        logits[rows], features[rows] = forward(model, np.ascontiguousarray(batch, dtype), "eval")[:2]
     return logits, features
 
 
 def extract_features(model: ModelState, images: list[GrayImage]) -> np.ndarray:
     """(N, F) eval-mode feature vectors of the images, GALLERY_CHUNK per
     forward: the representation the nearest-feature rule compares."""
-    return _eval_rows(model, images, GALLERY_CHUNK, DISTANCE_ERROR)[1]
-
-
-def build_gallery(
-    model: ModelState, images: list[GrayImage], labels
-) -> tuple[np.ndarray, np.ndarray]:
-    """(features, labels): extract_features of the gallery images and their
-    (N,) int64 labels."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (len(images),):
-        raise ValueError("need one gallery label per gallery image")
-    return extract_features(model, images), labels
+    with _finite(DISTANCE_ERROR):
+        return _eval_rows(model, images, GALLERY_CHUNK)[1]
 
 
 def nearest_feature_predict(
     model: ModelState, images: list[GrayImage], gallery: tuple[np.ndarray, np.ndarray]
 ) -> list[tuple[int, float]]:
-    """(label, distance) per image: the build_gallery row that is L2-closest
-    to the image's features; ties break to the lowest gallery index.  A
-    non-finite distance raises ValueError."""
+    """(label, distance) per image.  The gallery is (extract_features of the
+    gallery images, one label per row); the row L2-closest to the image's
+    features gives the label, and ties break to the lowest gallery index.
+    A non-finite distance raises ValueError."""
     gallery_features, gallery_labels = gallery
     if len(gallery_features) == 0:
         raise ValueError("empty gallery")
     if gallery_features.shape[1:] != (model.arch.feature_dim,):
         raise ValueError("gallery feature dimension mismatch")
+    if np.shape(gallery_labels) != (len(gallery_features),):
+        raise ValueError("need one gallery label per gallery row")
     chunk = FUSION_QUERY_CHUNK if model.arch.kind == "fusion" else GALLERY_CHUNK
-    queries = _eval_rows(model, images, chunk, DISTANCE_ERROR)[1]
     predictions = []
     with _finite(DISTANCE_ERROR):
-        for feat in queries:
+        for feat in _eval_rows(model, images, chunk)[1]:
             # The same reduction as np.linalg.norm of one row, bit for bit.
             diff = feat - gallery_features
             dists = np.sqrt(np.vecdot(diff, diff))
@@ -291,13 +273,13 @@ def nearest_feature_predict(
 
 def single_predict(model: ModelState, images: list[GrayImage]) -> list[tuple[int, np.ndarray]]:
     """Plain eval-mode softmax prediction, (label, probs) per image:
-    multicrop_predict for the fusion CNN, one image per forward; descriptor
-    models have no crop geometry and go GALLERY_CHUNK images per forward."""
+    multicrop_predict for the fusion CNN; descriptor models have no crop
+    geometry and go GALLERY_CHUNK images per forward."""
     if model.arch.kind == "fusion":
-        return [multicrop_predict(model, img) for img in images]
-    logits, _ = _eval_rows(model, images, GALLERY_CHUNK, PROBS_ERROR)
-    # Softmax row by row, each the (1, classes) softmax of a one-image call.
+        return multicrop_predict(model, images)
     with _finite(PROBS_ERROR):
+        logits, _ = _eval_rows(model, images, GALLERY_CHUNK)
+        # Softmax row by row, each the (1, classes) softmax of a one-image call.
         probs = [softmax(row[None])[0] for row in logits]
     return [_decide(p) for p in probs]
 

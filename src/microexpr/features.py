@@ -70,11 +70,16 @@ def avg_pool_resize(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     return GrayImage(rows @ img.pixels @ cols.T)
 
 
+def require_croppable(shape) -> None:
+    """crop_regions' rule: a face image of at least 3x3, each third a row."""
+    if min(shape) < 3:
+        raise ValueError(f"face image {shape[1]}x{shape[0]} too small to crop")
+
+
 def crop_regions(face: GrayImage) -> dict[str, GrayImage]:
     """Top third to eyes, bottom third to mouth, whole image to face, each
     pooled to its REGIONS size; keyed by region name in REGIONS order."""
-    if face.height < 3 or face.width < 3:
-        raise ValueError(f"face image {face.width}x{face.height} too small to crop")
+    require_croppable(face.pixels.shape)
     third = face.height // 3
     source = {"eyes": face.pixels[:third], "face": face.pixels,
               "mouth": face.pixels[face.height - third :]}

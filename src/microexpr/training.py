@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import GrayImage, LabeledSample
-from .features import image_descriptor
+from .features import image_descriptor, require_croppable
 from .network import ModelState, backward, forward, model_dtype, save_checkpoint, softmax
 from .preprocess import (
     PREPARED_SIZE,
@@ -262,15 +262,24 @@ def lr_schedule(log: TrainLog, cfg: TrainConfig) -> float:
 # Training driver
 
 
+def require_model_image(kind: str, shape) -> None:
+    """The images an architecture kind takes: the fusion CNN a prepared
+    image, the descriptor MLP any image of at least 3x3."""
+    if kind == "fusion":
+        require_prepared(shape, "image")
+    else:
+        require_croppable(shape)
+
+
 def model_input(model: ModelState, img: GrayImage) -> np.ndarray:
     """What the network is fed for one image, in training and at inference.
-    The descriptor MLP takes the descriptor of any image as loaded (pixel
+    The descriptor MLP takes the descriptor of the image as loaded (pixel
     statistics do not apply to it).  The fusion CNN takes a prepared image,
     normalized per image, then by the model's stored per-pixel statistics
     when present."""
+    require_model_image(model.arch.kind, img.pixels.shape)
     if model.arch.kind != "fusion":
         return image_descriptor(img)
-    require_prepared(img.pixels.shape, "image")
     out = normalize_per_image(img)
     if model.pixel_stats is not None:
         out = apply_pixel_stats(out, model.pixel_stats)

@@ -24,7 +24,6 @@ from microexpr.dataset import (
 )
 from microexpr.evaluation import (
     ConfusionMatrix,
-    build_gallery,
     extract_features,
     mae,
     metrics,
@@ -344,7 +343,7 @@ def test_synthetic_end_to_end():
 
         def accuracy(samples):
             hits = sum(
-                1 for s in samples if multicrop_predict(model, s.image)[0] == s.label
+                1 for s in samples if multicrop_predict(model, [s.image])[0][0] == s.label
             )
             return hits / len(samples)
 
@@ -421,7 +420,7 @@ def test_jaffe_holdout():
         )
         model, _ = train(model, train_set, TrainConfig(seed=1))
         true = [s.label for s in test_set]
-        pred = [multicrop_predict(model, s.image)[0] for s in test_set]
+        pred = [multicrop_predict(model, [s.image])[0][0] for s in test_set]
         report, _ = build_report(true, pred, JAFFE_CLASS_NAMES)
         print(f"  [jaffe] protocol: stratified 80/20 seed 1, multicrop; "
               f"trace accuracy {report.accuracy_trace:.3f}")
@@ -473,8 +472,9 @@ def test_nearest_feature_mode():
         model = init_model(arch, ("p", "q", "r"), seed=6)
         rng = np.random.default_rng(7)
         gallery_labels = [int(rng.integers(0, 3)) for _ in range(8)]
-        gallery = build_gallery(
-            model, [GrayImage(rng.random((48, 48))) for _ in gallery_labels], gallery_labels
+        gallery = (
+            extract_features(model, [GrayImage(rng.random((48, 48))) for _ in gallery_labels]),
+            np.array(gallery_labels, dtype=np.int64),
         )
         for _ in range(100):
             probe = GrayImage(rng.random((48, 48)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import microexpr
-from microexpr import evaluation, network, training
+from microexpr import evaluation, features, network, training
 from microexpr.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -523,6 +523,58 @@ class TestExitCodes:
             == EXIT_OK
         assert capsys.readouterr().out.split()[0] == header[1 + counts.index("1")]
 
+    @pytest.mark.parametrize("command", ["predict", "eval", "train", "gallery"])
+    def test_descriptor_model_names_an_image_too_small_to_crop(self, tmp_path, capsys,
+                                                               command):
+        ckpt, face = untrained_model(tmp_path)
+        arch = network.MlpArch(classes=2, input_dim=features.IMAGE_DESCRIPTOR_LENGTH,
+                               hidden_units=8)
+        save_checkpoint(ckpt, init_model(arch, ("C0", "C1"), seed=0, dtype=np.float32))
+        tiny = tmp_path / "tiny.pgm"
+        tiny.write_bytes(encode_pgm(GrayImage(np.full((2, 2), 0.5))))
+        manifest = tmp_path / "tiny.csv"
+        manifest.write_text(f"# classes: C0,C1\npath,label,subject\n{tiny.name},C0,s1\n"
+                            f"{face.name},C1,s2\n")
+        out = tmp_path / "out"
+        argv = {
+            "predict": ["predict", str(tiny), "--checkpoint", str(ckpt)],
+            "eval": ["eval", "--test-manifest", str(manifest), "--checkpoint", str(ckpt)],
+            "train": ["train", "--train-manifest", str(manifest), "--profile",
+                      "mlp-handcrafted", "--max-epochs", "1"],
+            "gallery": ["predict", str(face), "--checkpoint", str(ckpt), "--inference-mode",
+                        "nearest-feature", "--gallery-manifest", str(manifest)],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {tiny}: face image 2x2 too small to crop\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--gallery-manifest"])
+    def test_eval_predictions_refuses_model_flags_before_any_file(self, tmp_path, capsys,
+                                                                  flag):
+        # None of these files exists: reading one would exit 2.
+        out = tmp_path / "out"
+        rc = main(["eval", "--test-manifest", str(tmp_path / "test.csv"),
+                   "--predictions", str(tmp_path / "pred.csv"), flag, str(tmp_path / "x"),
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: --predictions takes no --checkpoint or --gallery-manifest\n"
+        assert not out.exists()
+
+    def test_preprocess_without_images_to_fit_names_the_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "man.csv"
+        manifest.write_text("path,label,subject\n"
+                            + "".join(f"missing{i}.pgm,A,s{i}\n" for i in range(4)))
+        out = tmp_path / "out"
+        assert main(["preprocess", "--manifest", str(manifest), "--out", str(out)]) \
+            == EXIT_VALIDATION
+        *skipped, last = capsys.readouterr().err.splitlines()
+        assert len(skipped) == 4 and all(line.startswith("warning: skipping image")
+                                         for line in skipped)
+        assert last == f"error: {manifest}: need at least 2 images"
+        assert not out.exists()
+
     def test_config_key_set_twice_refused(self, tmp_path, capsys):
         config, out = tmp_path / "c.cfg", tmp_path / "data"
         config.write_text("seed = 1\n# seed = 3\nseed = 2\n")
@@ -650,7 +702,7 @@ class TestExitCodes:
         def forbidden(*args, **kwargs):
             raise AssertionError("a gallery image was forwarded")
 
-        monkeypatch.setattr(evaluation, "build_gallery", forbidden)
+        monkeypatch.setattr(evaluation, "extract_features", forbidden)
         out = tmp_path / "out"
         if command == "eval":
             argv = ["eval", "--test-manifest", str(test), "--out", str(out)]

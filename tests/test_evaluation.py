@@ -7,7 +7,6 @@ from microexpr.dataset import GrayImage, Manifest, ManifestError, generate_synth
 from microexpr.evaluation import (
     GALLERY_CHUNK,
     ConfusionMatrix,
-    build_gallery,
     build_report,
     confusion,
     confusion_to_csv,
@@ -196,25 +195,39 @@ class TestMulticrop:
 
     def test_zero_model_uniform_and_lowest_tie(self):
         model = fusion_model(zero=True)
-        label, probs = multicrop_predict(model, GrayImage(np.random.default_rng(7).random((48, 48))))
+        img = GrayImage(np.random.default_rng(7).random((48, 48)))
+        [(label, probs)] = multicrop_predict(model, [img])
         assert label == 0
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_probs_sum_to_one(self):
         model = fusion_model(seed=8)
-        _, probs = multicrop_predict(model, GrayImage(np.random.default_rng(9).random((48, 48))))
+        img = GrayImage(np.random.default_rng(9).random((48, 48)))
+        [(_, probs)] = multicrop_predict(model, [img])
         assert abs(probs.sum() - 1.0) < 1e-9
+
+    def test_image_list_is_one_image_calls_and_single_predict(self):
+        model = fusion_model(seed=28)
+        rng = np.random.default_rng(29)
+        imgs = [GrayImage(rng.random((48, 48))) for _ in range(3)]
+        alone = [multicrop_predict(model, [img])[0] for img in imgs]
+        for predictions in (multicrop_predict(model, imgs), single_predict(model, imgs)):
+            assert len(predictions) == 3
+            for (label, probs), (want_label, want_probs) in zip(predictions, alone):
+                assert label == want_label
+                assert probs.dtype == want_probs.dtype
+                assert probs.tobytes() == want_probs.tobytes()
 
     def test_wrong_size_rejected(self):
         model = fusion_model()
         with pytest.raises(ValueError, match="48x48"):
-            multicrop_predict(model, GrayImage(np.zeros((42, 42))))
+            multicrop_predict(model, [GrayImage(np.zeros((42, 42)))])
 
     def test_requires_fusion_arch(self):
         arch = MlpArch(classes=3, input_dim=10)
         model = init_model(arch, CLASS3, seed=0)
         with pytest.raises(ValueError, match="fusion"):
-            multicrop_predict(model, GrayImage(np.zeros((48, 48))))
+            multicrop_predict(model, [GrayImage(np.zeros((48, 48)))])
 
 
 class TestNearestFeature:
@@ -222,7 +235,7 @@ class TestNearestFeature:
         model = fusion_model(seed=10)
         rng = np.random.default_rng(11)
         imgs = [GrayImage(rng.random((48, 48))) for _ in range(4)]
-        gallery = build_gallery(model, imgs, range(4))
+        gallery = (extract_features(model, imgs), np.arange(4))
         [(label, dist)] = nearest_feature_predict(model, [imgs[2]], gallery)
         assert label == 2
         assert dist == 0.0
@@ -230,7 +243,7 @@ class TestNearestFeature:
     def test_single_entry_gallery(self):
         model = fusion_model(seed=12)
         rng = np.random.default_rng(13)
-        gallery = build_gallery(model, [GrayImage(rng.random((48, 48)))], [5])
+        gallery = (extract_features(model, [GrayImage(rng.random((48, 48)))]), np.array([5]))
         [(label, _)] = nearest_feature_predict(model, [GrayImage(rng.random((48, 48)))], gallery)
         assert label == 5
 
@@ -239,7 +252,7 @@ class TestNearestFeature:
         rng = np.random.default_rng(15)
         gallery_imgs = [GrayImage(rng.random((48, 48))) for _ in range(5)]
         labels = [int(rng.integers(0, 3)) for _ in range(5)]
-        gallery = build_gallery(model, gallery_imgs, labels)
+        gallery = (extract_features(model, gallery_imgs), np.array(labels))
         for _ in range(30):
             probe = GrayImage(rng.random((48, 48)))
             [feat] = extract_features(model, [probe])
@@ -252,7 +265,7 @@ class TestNearestFeature:
         model = fusion_model()
         with pytest.raises(ValueError, match="empty"):
             nearest_feature_predict(model, [GrayImage(np.zeros((48, 48)))],
-                                    build_gallery(model, [], []))
+                                    (extract_features(model, []), np.array([], dtype=np.int64)))
 
     def test_dimension_mismatch_rejected(self):
         model = fusion_model(seed=16)
@@ -262,8 +275,8 @@ class TestNearestFeature:
 
 
 class TestGallery:
-    """build_gallery's matrix against per-image extract_features, and the
-    distances nearest_feature_predict takes from it."""
+    """extract_features' matrix against per-image calls, and the distances
+    nearest_feature_predict takes from it."""
 
     @pytest.mark.parametrize("n", [1, GALLERY_CHUNK - 1, GALLERY_CHUNK, GALLERY_CHUNK + 1,
                                    2 * GALLERY_CHUNK + 3])
@@ -271,11 +284,9 @@ class TestGallery:
         model = init_model(FusionArch(classes=3), CLASS3, seed=20, dtype=np.float32)
         rng = np.random.default_rng(21)
         imgs = [GrayImage(rng.random((48, 48))) for _ in range(n)]
-        labels = rng.integers(0, 3, size=n)
-        features, got_labels = build_gallery(model, imgs, labels)
+        features = extract_features(model, imgs)
         assert features.shape == (n, model.arch.feature_dim)
         assert np.array_equal(features, np.stack([extract_features(model, [img])[0] for img in imgs]))
-        assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
 
     def test_descriptor_model_matrix_is_stacked_extract_features(self):
         from microexpr.features import image_descriptor
@@ -285,19 +296,20 @@ class TestGallery:
         arch = MlpArch(classes=3, input_dim=image_descriptor(imgs[0]).size,
                        hidden_units=16)
         model = init_model(arch, CLASS3, seed=23, dtype=np.float32)
-        features, _ = build_gallery(model, imgs, [0] * len(imgs))
+        features = extract_features(model, imgs)
         assert np.array_equal(features, np.stack([extract_features(model, [img])[0] for img in imgs]))
 
     def test_label_count_must_match(self):
         model = fusion_model(seed=24)
+        img = GrayImage(np.zeros((48, 48)))
         with pytest.raises(ValueError, match="one gallery label per"):
-            build_gallery(model, [GrayImage(np.zeros((48, 48)))], [0, 1])
+            nearest_feature_predict(model, [img], (extract_features(model, [img]), [0, 1]))
 
     def test_distance_is_linalg_norm_and_duplicates_tie_to_lowest_index(self):
         model = init_model(FusionArch(classes=3), CLASS3, seed=25, dtype=np.float32)
         rng = np.random.default_rng(26)
         imgs = [GrayImage(rng.random((48, 48))) for _ in range(6)]
-        features, labels = build_gallery(model, imgs, [0, 1, 2, 0, 1, 2])
+        features, labels = extract_features(model, imgs), np.array([0, 1, 2, 0, 1, 2])
         # Rows 6-11 repeat rows 0-5 under other labels; the first copy wins.
         gallery = (np.concatenate([features, features]),
                    np.concatenate([labels, (labels + 1) % 3]))
@@ -317,7 +329,8 @@ class TestGallery:
 
     def test_non_finite_distance_raises(self):
         model = fusion_model(seed=27)
-        features, labels = build_gallery(model, [GrayImage(np.zeros((48, 48)))] * 2, [0, 1])
+        features = extract_features(model, [GrayImage(np.zeros((48, 48)))] * 2)
+        labels = np.array([0, 1])
         features[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             nearest_feature_predict(model, [GrayImage(np.zeros((48, 48)))], (features, labels))
@@ -336,7 +349,7 @@ class TestArchWindow:
         images = [s.image for s in samples]
 
         def serve(m):
-            gallery = build_gallery(m, images, [s.label for s in samples])
+            gallery = (extract_features(m, images), np.array([s.label for s in samples]))
             return ([single_predict(m, [img])[0] for img in images],
                     [nearest_feature_predict(m, [img], gallery)[0] for img in images])
 

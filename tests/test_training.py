@@ -391,7 +391,7 @@ def eval_accuracy(model, samples):
     from microexpr.evaluation import multicrop_predict
 
     hits = sum(
-        1 for s in samples if multicrop_predict(model, s.image)[0] == s.label
+        1 for s in samples if multicrop_predict(model, [s.image])[0][0] == s.label
     )
     return hits / len(samples)
 
