@@ -26,10 +26,12 @@ from .evaluation import (
     ConfusionMatrix,
     MetricsReport,
     confusion,
+    extract_features,
     mae,
     metrics,
     multicrop_predict,
     nearest_feature_predict,
+    single_predict,
 )
 from .features import (
     avg_pool_resize,

@@ -4,8 +4,9 @@ predict.
 Configuration precedence is flag > config file > built-in default.  Config
 files are flat `key = value` text; `#` starts a comment.  Exit codes: 0
 success, 1 a malformed flag or input file (an error about a file names it),
-2 an unreadable path or a numeric failure.  Every subcommand honors --seed,
-and identical invocations produce byte-identical artifacts.
+2 an unreadable path, a numeric failure or running out of memory.  Every
+subcommand honors --seed, and identical invocations produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -532,6 +533,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (training.NonFiniteLossError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as err:  # numpy's names the allocation it refused
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -182,22 +182,41 @@ def apply_pixel_stats(img: GrayImage, stats: PixelStats) -> GrayImage:
 
 
 def _bilinear_sample(px: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample px at fractional (ys, xs); coordinates clamp to the border,
-    which doubles as edge-replicated fill for out-of-range points."""
-    h, w = px.shape
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
+    """Sample each image of the (k, h, w) stack px at fractional (ys, xs),
+    arrays that broadcast to (k, n, m) with one plane per image; returns
+    (k, n, m).  Coordinates clamp to the border, which doubles as
+    edge-replicated fill for out-of-range points."""
+    k, h, w = px.shape
+    # One edge-replicated row and column past the border: a tap at y0 + 1
+    # or x0 + 1 there reads what the clamp to the border reads.
+    padded = np.empty((k, h + 1, w + 1), px.dtype)
+    padded[:, :h, :w] = px
+    padded[:, h, :w] = px[:, h - 1]
+    padded[:, :, w] = padded[:, :, w - 1]
+    return _bilinear_taps(padded, np.clip(ys, 0.0, h - 1.0), np.clip(xs, 0.0, w - 1.0))
+
+
+def _bilinear_taps(px: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Bilinear blend of each image of the (k, h, w) stack px at (ys, xs),
+    arrays that broadcast to (k, n, m), with 0 <= ys <= h - 2 and
+    0 <= xs <= w - 2, so that all four taps lie in the image; returns
+    (k, n, m)."""
+    k, h, w = px.shape
+    y0 = ys.astype(np.int64)  # truncation is floor at or above 0
+    x0 = xs.astype(np.int64)
     fy = ys - y0
     fx = xs - x0
+    gy = 1 - fy
+    gx = 1 - fx
+    # Flat index of each top-left tap: image base plus y0 * w + x0.  The
+    # other three taps are the flat stack shifted by 1, w and w + 1.
+    at = y0 * w + np.arange(0, k * h * w, h * w).reshape(k, 1, 1) + x0
+    flat = px.reshape(-1)
     return (
-        px[y0, x0] * (1 - fy) * (1 - fx)
-        + px[y0, x1] * (1 - fy) * fx
-        + px[y1, x0] * fy * (1 - fx)
-        + px[y1, x1] * fy * fx
+        flat.take(at) * gy * gx
+        + flat[1:].take(at) * gy * fx
+        + flat[w:].take(at) * fy * gx
+        + flat[w + 1:].take(at) * fy * fx
     )
 
 
@@ -208,19 +227,29 @@ def bilinear_resize(px: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         return px.copy()
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
-    return _bilinear_sample(px, ys[:, None], xs[None, :])
+    return _bilinear_sample(px[None], ys[:, None], xs[None, :])[0]
 
 
-def rotate_bilinear(px: np.ndarray, angle_deg: float, rows=None, cols=None) -> np.ndarray:
+def rotate_bilinear(px: np.ndarray, angle_deg, rows=None, cols=None) -> np.ndarray:
     """Rotate about the image center, bilinear sampling, edge-replicated fill.
-    rows and cols (ranges, default all) select the output pixels to compute:
-    each is the same bits as in the whole rotated image."""
-    h, w = px.shape
-    t = math.radians(angle_deg)
-    c, s = math.cos(t), math.sin(t)
+    rows and cols (index sequences, default all) select the output pixels to
+    compute: each is the same bits as in the whole rotated image.
+
+    Stack form: px of shape (k, h, w), one angle per image in angle_deg,
+    and rows and cols of shape (k, n) and (k, m), one index row per image.
+    It returns (k, n, m), each image the bits of its own 2-D call."""
+    stack = px.ndim == 3
+    if not stack:
+        px, angle_deg = px[None], [angle_deg]
+        rows, cols = (None if sel is None else [sel] for sel in (rows, cols))
+    k, h, w = px.shape
+    turns = [math.radians(a) for a in angle_deg]
+    c = np.array([math.cos(t) for t in turns]).reshape(k, 1, 1)
+    s = np.array([math.sin(t) for t in turns]).reshape(k, 1, 1)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy = np.array(range(h) if rows is None else rows, dtype=np.float64)[:, None] - cy
-    xx = np.array(range(w) if cols is None else cols, dtype=np.float64)[None, :] - cx
-    src_y = c * yy - s * xx + cy
-    src_x = s * yy + c * xx + cx
-    return _bilinear_sample(px, src_y, src_x)
+    rows = np.broadcast_to(np.arange(h), (k, h)) if rows is None else rows
+    cols = np.broadcast_to(np.arange(w), (k, w)) if cols is None else cols
+    yy = np.asarray(rows, dtype=np.float64)[:, :, None] - cy
+    xx = np.asarray(cols, dtype=np.float64)[:, None, :] - cx
+    out = _bilinear_sample(px, c * yy - s * xx + cy, s * yy + c * xx + cx)
+    return out if stack else out[0]

@@ -439,11 +439,11 @@ def test_augmentation_contract():
             mirrors += p.mirror
             angles.append(p.angle_deg)
             sizes.add(p.size)
-        out = apply_augment(img, draw_augment_params(rng, 42), 42)
-        assert (out.height, out.width) == (42, 42)
+        out = apply_augment(img.pixels[None], [draw_augment_params(rng, 42)], 42)
+        assert out.shape == (1, 42, 42)
         for _ in range(100):
-            view = apply_augment(img, draw_augment_params(rng, 42), 42)
-            assert (view.height, view.width) == (42, 42)
+            view = apply_augment(img.pixels[None], [draw_augment_params(rng, 42)], 42)
+            assert view.shape == (1, 42, 42)
         rate = mirrors / 10_000
         assert 0.48 <= rate <= 0.52, rate
         angles = np.array(angles)

@@ -340,7 +340,7 @@ class TestPipeline:
         monkeypatch.setattr(training, "forward", recording_forward)
         monkeypatch.setattr(evaluation, "forward", recording_forward)
         monkeypatch.setattr(training, "apply_augment",
-                            lambda img, p, window: GrayImage(img.pixels[3:45, 3:45]))
+                            lambda pixels, params, window: pixels[:, 3:45, 3:45])
         assert main(["train", "--train-manifest", str(work / "train.csv"),
                      "--stats", str(work / "pixel_stats.bin"), "--profile", profile,
                      "--max-epochs", "1", "--seed", "2", "--out", str(run)]) == EXIT_OK
@@ -451,6 +451,21 @@ class TestExitCodes:
         m.write_text("path,label,subject\n")
         rc = main(["preprocess", "--manifest", str(m), "--out", str(tmp_path / "o")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array with shape "
+                                         "(2, 100000, 100000) and data type float64", ""])
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, message):
+        from microexpr import dataset
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(dataset, "generate_synthetic", exhausted)
+        rc = main(["synth", "--classes", "2", "--per-class", "2", "--size", "100000",
+                   "--out", str(tmp_path / "raw")])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: out of memory" + (f": {message}" if message else "") + "\n"
+        assert not (tmp_path / "raw").exists()
 
     def test_max_epochs_zero_rejected(self, tmp_path):
         data = tmp_path / "data"

@@ -425,3 +425,22 @@ class TestReports:
         manifest = Manifest((("x.pgm", "AN", "s1"),), ("AN",))
         with pytest.raises(ManifestError, match="not in manifest"):
             evaluate_external_predictions(manifest, {"x.pgm": "ZZ"})
+
+
+def test_readme_library_names_import_from_the_package():
+    """Every name the README's "Library use" example imports, and every
+    function its inference paragraph names, imports from `microexpr`."""
+    import re
+    from pathlib import Path
+
+    import microexpr
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"from microexpr import \(([^)]*)\)", section).group(1)
+    paragraph = section[section.index("Every inference function"):].split("\n\n", 1)[0]
+    names = {n.strip() for n in example.split(",")} | set(re.findall(r"`([a-z_]\w*)[`(]", paragraph))
+    assert {"train", "multicrop_predict", "single_predict", "extract_features",
+            "nearest_feature_predict"} <= names
+    missing = sorted(n for n in names if not hasattr(microexpr, n))
+    assert not missing, f"README names these, but `from microexpr import` fails: {missing}"

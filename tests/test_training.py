@@ -19,7 +19,7 @@ from microexpr.network import (
     relu_forward,
     softmax,
 )
-from microexpr.preprocess import bilinear_resize, rotate_bilinear
+from microexpr.preprocess import bilinear_resize
 from microexpr.rng import STREAM_DROPOUT, STREAM_SHUFFLE, substream
 from microexpr.training import (
     SGD_BLOCK,
@@ -52,20 +52,72 @@ def small_corpus(per_class=8, classes=3, seed=13):
     return generate_synthetic(classes, per_class, 48, seed)
 
 
+def reference_sample(px, ys, xs):
+    """The 2-D bilinear sampler as fancy-index gathers, written out here as
+    the reference for the stacked gather: coordinates clamp to the border."""
+    h, w = px.shape
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = ys - y0
+    fx = xs - x0
+    return (
+        px[y0, x0] * (1 - fy) * (1 - fx)
+        + px[y0, x1] * (1 - fy) * fx
+        + px[y1, x0] * fy * (1 - fx)
+        + px[y1, x1] * fy * fx
+    )
+
+
+def reference_resize(px, out_h, out_w):
+    """Center-aligned bilinear resize of one image, on reference_sample."""
+    h, w = px.shape
+    if (out_h, out_w) == (h, w):
+        return px.copy()
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    return reference_sample(px, ys[:, None], xs[None, :])
+
+
+def reference_rotate(px, angle_deg):
+    """The whole rotation of one image about its center, on reference_sample."""
+    h, w = px.shape
+    t = math.radians(angle_deg)
+    c, s = math.cos(t), math.sin(t)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy = np.arange(h, dtype=np.float64)[:, None] - cy
+    xx = np.arange(w, dtype=np.float64)[None, :] - cx
+    return reference_sample(px, c * yy - s * xx + cy, s * yy + c * xx + cx)
+
+
+def reference_augment(px, p, window):
+    """The chain as written, one image at a time: mirror, whole rotation,
+    whole resize, then the crop."""
+    if p.mirror:
+        px = px[:, ::-1]
+    full = reference_resize(reference_rotate(px, p.angle_deg), p.size, p.size)
+    return full[p.crop_y : p.crop_y + window, p.crop_x : p.crop_x + window]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestAugment:
     def test_output_always_42x42(self):
         rng = substream(0, 1)
-        img = GrayImage(np.random.default_rng(0).random((48, 48)))
+        px = np.random.default_rng(0).random((48, 48))
         for _ in range(200):
-            out = apply_augment(img, draw_augment_params(rng, 42), 42)
-            assert (out.height, out.width) == (42, 42)
+            out = apply_augment(px[None], [draw_augment_params(rng, 42)], 42)
+            assert out.shape == (1, 42, 42) and out.dtype == np.float64
 
     def test_identity_path_is_pure_downscale(self):
         px = np.random.default_rng(1).random((48, 48))
-        out = apply_augment(
-            GrayImage(px), AugmentParams(False, 0.0, 42, 0, 0), 42
-        )
-        assert np.array_equal(out.pixels, bilinear_resize(px, 42, 42))
+        out = apply_augment(px[None], [AugmentParams(False, 0.0, 42, 0, 0)], 42)[0]
+        assert np.array_equal(out, bilinear_resize(px, 42, 42))
 
     def test_draw_statistics(self):
         rng = substream(7, 2)
@@ -88,7 +140,7 @@ class TestAugment:
 
     def test_draw_and_crop_follow_the_window(self):
         rng = substream(3, 4)
-        img = GrayImage(np.random.default_rng(4).random((48, 48)))
+        px = np.random.default_rng(4).random((48, 48))
         sizes = set()
         for _ in range(5000):
             p = draw_augment_params(rng, 16)
@@ -97,46 +149,88 @@ class TestAugment:
             assert 0 <= p.crop_x <= p.size - 16
         assert min(sizes) == 16 and max(sizes) == 80
         for _ in range(20):
-            out = apply_augment(img, draw_augment_params(rng, 16), 16)
-            assert (out.height, out.width) == (16, 16)
+            out = apply_augment(px[None], [draw_augment_params(rng, 16)], 16)
+            assert out.shape == (1, 16, 16)
 
     def test_wrong_input_size_rejected(self):
         with pytest.raises(ValueError, match="48x48"):
-            apply_augment(GrayImage(np.zeros((42, 42))),
-                          draw_augment_params(substream(0, 0), 42), 42)
+            apply_augment(np.zeros((1, 42, 42)), [draw_augment_params(substream(0, 0), 42)], 42)
+
+    def test_one_param_per_image(self):
+        with pytest.raises(ValueError, match="1 augment params for 2 images"):
+            apply_augment(np.zeros((2, 48, 48)), [draw_augment_params(substream(0, 0), 42)], 42)
 
     @staticmethod
-    def two_stage_augment(px, p, window):
-        """The chain as written: whole rotation, whole resize, then the crop."""
-        if p.mirror:
-            px = px[:, ::-1]
-        full = bilinear_resize(rotate_bilinear(px, p.angle_deg), p.size, p.size)
-        return full[p.crop_y : p.crop_y + window, p.crop_x : p.crop_x + window]
+    def extreme_params(rng, draws, window, k):
+        """Every fourth draw an extreme: each size bound, 48, both edge crops,
+        +-45 degrees, mirrored or not; the rest drawn as training draws them."""
+        top = 2 * 48 - window
+        if k % 4:
+            return draw_augment_params(draws, window)
+        size = (window, 48, top, int(rng.integers(window, top + 1)))[k // 4 % 4]
+        off = (0, size - window)
+        return AugmentParams(bool(k % 8), (-45.0, 45.0, 0.0)[k % 3], size,
+                             off[k // 16 % 2], off[k // 32 % 2])
 
     @pytest.mark.parametrize("window", [42, 16])
     def test_window_only_chain_is_the_same_bits(self, window):
         rng = np.random.default_rng(window)
         draws = substream(5, 6, window)
-        top = 2 * 48 - window
         for k in range(260):
             px = rng.normal(size=(48, 48))
-            if k % 4:
-                p = draw_augment_params(draws, window)
-            else:  # the extremes: every size bound, 48, both edge crops, +-45 degrees
-                size = (window, 48, top, int(rng.integers(window, top + 1)))[k // 4 % 4]
-                off = (0, size - window)
-                p = AugmentParams(bool(k % 8), (-45.0, 45.0, 0.0)[k % 3], size,
-                                  off[k // 16 % 2], off[k // 32 % 2])
-            got = apply_augment(GrayImage(px), p, window).pixels
-            want = self.two_stage_augment(px, p, window)
+            p = self.extreme_params(rng, draws, window, k)
+            got = apply_augment(px[None], [p], window)[0]
+            want = reference_augment(px, p, window)
             assert got.shape == want.shape == (window, window)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), p
+            assert same_bits(got, want), p
+
+    @pytest.mark.parametrize("window", [42, 16])
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    def test_stacks_are_the_same_bits_as_one_image_at_a_time(self, window, count):
+        """A stack mixes size-48 draws with resized ones, mirrors, +-45
+        degrees, both edge crops and negative pixels; each image keeps the
+        bits of the reference chain run on it alone."""
+        rng = np.random.default_rng(100 * window + count)
+        draws = substream(7, count, window)
+        stack = rng.normal(size=(count, 48, 48))
+        params = [self.extreme_params(rng, draws, window, k) for k in range(count)]
+        if count > 1:
+            params[1] = AugmentParams(True, 45.0, 48, 48 - window, 0)
+        got = apply_augment(stack, params, window)
+        assert got.shape == (count, window, window) and got.dtype == np.float64
+        for px, p, out in zip(stack, params, got):
+            assert same_bits(out, reference_augment(px, p, window)), p
+
+    def test_signed_zeros_keep_their_bits(self):
+        """Mostly -0.0 pixels: a tap of weight 0 still sets the sign of a zero
+        sum, so each image's resize must read its own rows, not the padding
+        a larger block in the same stack brings."""
+        rng = np.random.default_rng(0)
+        stack = np.where(rng.random((16, 48, 48)) < 0.9, -0.0, rng.random((16, 48, 48)))
+        params = [AugmentParams(bool(k % 2), (10.0, -30.0, 45.0, -45.0)[k % 4], 49 + k % 6,
+                                49 + k % 6 - 42, 49 + k % 6 - 42) for k in range(15)]
+        params.append(AugmentParams(False, 0.0, 42, 0, 0))  # the largest block
+        for px, p, out in zip(stack, params, apply_augment(stack, params, 42)):
+            assert same_bits(out, reference_augment(px, p, 42)), p
+
+    def test_a_stack_of_size_48_draws_is_the_reference_bits(self):
+        rng = np.random.default_rng(48)
+        stack = rng.normal(size=(5, 48, 48))
+        params = [AugmentParams(bool(k % 2), (-45.0, 45.0, 7.5, 0.0, -3.0)[k], 48, k, 6 - k)
+                  for k in range(5)]
+        for px, p, out in zip(stack, params, apply_augment(stack, params, 42)):
+            assert same_bits(out, reference_augment(px, p, 42)), p
+
+    @pytest.mark.parametrize("side", [256, 128])
+    def test_resize_to_prepared_is_the_reference_bits(self, side):
+        px = np.random.default_rng(side).random((side, side))
+        assert same_bits(bilinear_resize(px, 48, 48), reference_resize(px, 48, 48))
 
     def test_mirror_only_flips(self):
         px = np.random.default_rng(2).random((48, 48))
-        out = apply_augment(GrayImage(px), AugmentParams(True, 0.0, 42, 0, 0), 42)
-        ref = apply_augment(GrayImage(px[:, ::-1]), AugmentParams(False, 0.0, 42, 0, 0), 42)
-        assert np.array_equal(out.pixels, ref.pixels)
+        out = apply_augment(px[None], [AugmentParams(True, 0.0, 42, 0, 0)], 42)
+        ref = apply_augment(px[None, :, ::-1], [AugmentParams(False, 0.0, 42, 0, 0)], 42)
+        assert np.array_equal(out, ref)
 
 
 class TestCrossEntropy:
@@ -434,11 +528,11 @@ class TestTrainLoop:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 batch = np.stack([
-                    apply_augment(
-                        GrayImage(prepared[i]),
+                    reference_augment(
+                        prepared[i],
                         draw_augment_params(substream(cfg.seed, STREAM_AUGMENT, epoch * n + int(i)), 42),
                         42,
-                    ).pixels
+                    )
                     for i in idx
                 ])
                 logits, feats, cache = forward(
