@@ -151,12 +151,6 @@ def _load_samples(manifest_path: Path, manifest: Manifest, kind: str) -> list[La
             for path, label, subject in manifest.entries]
 
 
-def _write_manifest_csv(path: Path, rows: list[tuple[str, str, str]], class_names) -> None:
-    lines = ["# classes: " + ",".join(class_names), "path,label,subject"]
-    lines += [f"{p},{label},{subject}" for p, label, subject in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _class_names_for(classes: int) -> tuple[str, ...]:
     if classes == len(dataset.JAFFE_CLASS_NAMES):
         return dataset.JAFFE_CLASS_NAMES
@@ -180,7 +174,7 @@ def cmd_ingest(args) -> int:
     # Made only now, so a refused directory leaves no output.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest_csv(out / "manifest.csv", rows, dataset.JAFFE_CLASS_NAMES)
+    dataset.write_manifest(out / "manifest.csv", rows, dataset.JAFFE_CLASS_NAMES)
     print(f"ingested {len(rows)} images -> {out / 'manifest.csv'}")
     return EXIT_OK
 
@@ -196,7 +190,7 @@ def cmd_synth(args) -> int:
         name = f"{class_names[sample.label]}_{i:04d}.pgm"
         (images_dir / name).write_bytes(dataset.encode_pgm(sample.image))
         rows.append((f"images/{name}", class_names[sample.label], sample.subject))
-    _write_manifest_csv(out / "manifest.csv", rows, class_names)
+    dataset.write_manifest(out / "manifest.csv", rows, class_names)
     print(f"wrote {len(rows)} synthetic images -> {out}")
     return EXIT_OK
 
@@ -259,11 +253,11 @@ def cmd_preprocess(args) -> int:
     (out / "images").mkdir(parents=True, exist_ok=True)
     for (name, _, _), sample in zip(rows, samples):
         (out / name).write_bytes(dataset.encode_pgm(sample.image))
-    _write_manifest_csv(out / "manifest.csv", rows, manifest.class_names)
+    dataset.write_manifest(out / "manifest.csv", rows, manifest.class_names)
     train_rows = [row for s, row in zip(samples, rows) if id(s) in train_ids]
     test_rows = [row for s, row in zip(samples, rows) if id(s) not in train_ids]
-    _write_manifest_csv(out / "train.csv", train_rows, manifest.class_names)
-    _write_manifest_csv(out / "test.csv", test_rows, manifest.class_names)
+    dataset.write_manifest(out / "train.csv", train_rows, manifest.class_names)
+    dataset.write_manifest(out / "test.csv", test_rows, manifest.class_names)
     save_pixel_stats(out / "pixel_stats.bin", stats)
     print(f"preprocessed {len(samples)} images ({len(train_rows)} train / {len(test_rows)} test)")
     skipped = len(manifest.entries) - len(rows)
@@ -304,11 +298,10 @@ def cmd_train(args) -> int:
     if classes < 2:
         raise ConfigError(f"{manifest_path}: {classes} class {list(manifest.class_names)}; "
                           "training needs at least 2 classes")
-    # The checkpoint stores class names as one ASCII, comma-separated line.
-    unstorable = [n for n in manifest.class_names if not n.isascii() or "," in n or "\n" in n]
-    if unstorable:
-        raise ConfigError(f"{manifest_path}: class names {unstorable} cannot be stored in a "
-                          "checkpoint: use ASCII names without commas or newlines")
+    try:
+        network.require_storable_class_names(manifest.class_names)
+    except ValueError as err:
+        raise ConfigError(f"{manifest_path}: {err}") from err
     # Checked before any image, and even for the descriptor MLP, which pixel
     # statistics do not touch.
     stats = _load(args.stats, _read_stats) if args.stats else None
@@ -377,8 +370,9 @@ def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
 
 
 def _read_predictions(path: Path) -> dict[str, str]:
-    """{manifest path: predicted label} from an external predictions CSV."""
-    rows = list(csv.reader(path.read_text().splitlines()))
+    """{manifest path: predicted label} from an external predictions CSV;
+    blank rows are skipped, as in a manifest."""
+    rows = [row for row in csv.reader(path.read_text().splitlines()) if row]
     if not rows or [c.strip() for c in rows[0]] != ["path", "predicted_label"]:
         raise ValueError("predictions CSV must start with 'path,predicted_label'")
     table: dict[str, str] = {}
@@ -418,7 +412,8 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         "inference_mode": inference_mode,
     }
-    report, cm = evaluation.build_report(true, pred, manifest.class_names)
+    cm = evaluation.confusion(true, pred, len(manifest.class_names))
+    report = evaluation.metrics(cm, manifest.class_names)
     # Made only now, so a refused checkpoint or gallery leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

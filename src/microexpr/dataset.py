@@ -203,6 +203,15 @@ def load_manifest(text: str) -> Manifest:
     return Manifest(tuple(entries), class_names)
 
 
+def write_manifest(path, entries, class_names: tuple[str, ...]) -> None:
+    """Write a manifest that load_manifest reads back: the `# classes:`
+    line, the header, then one CSV row per (path, label, subject) entry,
+    quoted where a cell holds a comma, a quote or a newline."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# classes: " + ",".join(class_names) + "\npath,label,subject\n")
+        csv.writer(fh, lineterminator="\n").writerows(entries)
+
+
 def split(
     samples: list[LabeledSample],
     test_fraction: float,

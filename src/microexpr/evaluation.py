@@ -1,6 +1,7 @@
-"""Evaluation: confusion matrices, per-class and macro metrics, MAE over
-class indices, and the two inference modes (averaged multi-crop softmax and
-nearest neighbor in feature space).
+"""Evaluation: confusion matrices, the report computed from their counts
+(per-class and macro metrics, accuracies and MAE over class indices), and
+the two inference modes (averaged multi-crop softmax and nearest neighbor
+in feature space).
 
 Multiclass reduction is one-vs-rest per class.  0/0 ratios are defined as 0.
 Two accuracies are reported side by side: plain trace accuracy and the
@@ -26,7 +27,7 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -86,11 +87,13 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    per_class: tuple[ClassMetrics, ...]
-    macro: dict[str, float]
+    """The metrics.json figures, in file order."""
+
     accuracy_trace: float
     accuracy_ovr_macro: float
-    mae: float | None = None
+    mae: float
+    per_class: tuple[ClassMetrics, ...]
+    macro: dict[str, float]
 
 
 def confusion(true: np.ndarray, pred: np.ndarray, classes: int) -> ConfusionMatrix:
@@ -112,7 +115,8 @@ def _ratio(num: float, den: float) -> float:
 
 def metrics(cm: ConfusionMatrix, class_names: tuple[str, ...] | None = None) -> MetricsReport:
     """One-vs-rest TP/FP/FN/TN per class, then precision, recall, F-measure,
-    sensitivity and specificity applied literally; 0/0 is defined as 0."""
+    sensitivity and specificity applied literally; 0/0 is defined as 0.
+    MAE is the count-weighted |true - predicted| index sum over the total."""
     counts = cm.counts
     total = cm.total
     if total == 0:
@@ -133,7 +137,7 @@ def metrics(cm: ConfusionMatrix, class_names: tuple[str, ...] | None = None) -> 
         precision = _ratio(tp, tp + fp)
         recall = _ratio(tp, tp + fn)
         f_measure = _ratio(2.0 * precision * recall, precision + recall)
-        sensitivity = _ratio(tp, tp + fn)
+        sensitivity = recall
         specificity = _ratio(tn, fp + tn)
         per_class.append(
             ClassMetrics(class_names[k], precision, recall, f_measure, sensitivity, specificity)
@@ -144,10 +148,12 @@ def metrics(cm: ConfusionMatrix, class_names: tuple[str, ...] | None = None) -> 
     macro = {f.name: float(np.mean([getattr(m, f.name) for m in per_class]))
              for f in fields(ClassMetrics)[1:]}
     return MetricsReport(
-        per_class=tuple(per_class),
-        macro=macro,
         accuracy_trace=float(np.trace(counts) / total),
         accuracy_ovr_macro=float(np.mean(ovr_accuracies)),
+        # An exact integer sum divided once: the bits of mae() on the labels.
+        mae=float((counts * np.abs(np.subtract(*np.indices(counts.shape)))).sum() / total),
+        per_class=tuple(per_class),
+        macro=macro,
     )
 
 
@@ -288,23 +294,9 @@ def single_predict(model: ModelState, images: list[GrayImage]) -> list[tuple[int
 # Reports
 
 
-def build_report(
-    true, pred, class_names: tuple[str, ...]
-) -> tuple[MetricsReport, ConfusionMatrix]:
-    cm = confusion(true, pred, len(class_names))
-    return replace(metrics(cm, class_names), mae=mae(true, pred)), cm
-
-
 def report_to_json(report: MetricsReport, protocol: dict[str, object]) -> str:
-    payload = {
-        "accuracy_trace": report.accuracy_trace,
-        "accuracy_ovr_macro": report.accuracy_ovr_macro,
-        "mae": report.mae,
-        "per_class": [asdict(m) for m in report.per_class],
-        "macro": report.macro,
-        "protocol": protocol,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """metrics.json: the report's fields in order, then the protocol."""
+    return json.dumps({**asdict(report), "protocol": protocol}, indent=2) + "\n"
 
 
 def confusion_to_csv(cm: ConfusionMatrix, class_names: tuple[str, ...]) -> str:

@@ -604,10 +604,20 @@ def _stats_from_tensors(tensors: dict[str, np.ndarray]) -> PixelStats:
     return PixelStats(mean, std, float(_take(tensors, "pixel_stats.epsilon", (1,))[0]))
 
 
+def require_storable_class_names(class_names) -> None:
+    """Refuse, with ValueError, class names that the checkpoint's one ASCII,
+    comma-separated classes line cannot hold."""
+    unstorable = [n for n in class_names if not n.isascii() or "," in n or "\n" in n]
+    if unstorable:
+        raise ValueError(f"class names {unstorable} cannot be stored in a checkpoint: "
+                         "use ASCII names without commas or newlines")
+
+
 def save_checkpoint(path, model: ModelState) -> None:
     """Write the arch, class names, parameters, class centers and pixel
     statistics, which is all a ModelState holds: a checkpoint resumes no
     optimizer state.  Payloads are float32, so float64 reloads as float32."""
+    require_storable_class_names(model.class_names)
     entries = [(f"param:{name}", tensor) for name, tensor in model.params.items()]
     entries.append(("centers", model.centers))
     if model.pixel_stats is not None:

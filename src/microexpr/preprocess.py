@@ -230,26 +230,17 @@ def bilinear_resize(px: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _bilinear_sample(px[None], ys[:, None], xs[None, :])[0]
 
 
-def rotate_bilinear(px: np.ndarray, angle_deg, rows=None, cols=None) -> np.ndarray:
-    """Rotate about the image center, bilinear sampling, edge-replicated fill.
-    rows and cols (index sequences, default all) select the output pixels to
-    compute: each is the same bits as in the whole rotated image.
-
-    Stack form: px of shape (k, h, w), one angle per image in angle_deg,
-    and rows and cols of shape (k, n) and (k, m), one index row per image.
-    It returns (k, n, m), each image the bits of its own 2-D call."""
-    stack = px.ndim == 3
-    if not stack:
-        px, angle_deg = px[None], [angle_deg]
-        rows, cols = (None if sel is None else [sel] for sel in (rows, cols))
+def rotate_bilinear(px: np.ndarray, angle_deg, rows, cols) -> np.ndarray:
+    """Rotate each image of the (k, h, w) stack px about its center by its
+    own angle in angle_deg, bilinear sampling, edge-replicated fill.  rows
+    and cols, of shape (k, n) and (k, m), select each image's output
+    pixels; returns (k, n, m), each pixel the same bits as in the whole
+    rotated image."""
     k, h, w = px.shape
     turns = [math.radians(a) for a in angle_deg]
     c = np.array([math.cos(t) for t in turns]).reshape(k, 1, 1)
     s = np.array([math.sin(t) for t in turns]).reshape(k, 1, 1)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rows = np.broadcast_to(np.arange(h), (k, h)) if rows is None else rows
-    cols = np.broadcast_to(np.arange(w), (k, w)) if cols is None else cols
     yy = np.asarray(rows, dtype=np.float64)[:, :, None] - cy
     xx = np.asarray(cols, dtype=np.float64)[:, None, :] - cx
-    out = _bilinear_sample(px, c * yy - s * xx + cy, s * yy + c * xx + cx)
-    return out if stack else out[0]
+    return _bilinear_sample(px, c * yy - s * xx + cy, s * yy + c * xx + cx)

@@ -393,7 +393,7 @@ def test_jaffe_holdout():
     if not jaffe_dir:
         pytest.skip("MICROEXPR_JAFFE_DIR not set; real-data criterion skipped")
     from microexpr.dataset import decode_pgm
-    from microexpr.evaluation import build_report
+    from microexpr.evaluation import confusion
 
     with criterion("jaffe-holdout"):
         samples = []
@@ -421,7 +421,7 @@ def test_jaffe_holdout():
         model, _ = train(model, train_set, TrainConfig(seed=1))
         true = [s.label for s in test_set]
         pred = [multicrop_predict(model, [s.image])[0][0] for s in test_set]
-        report, _ = build_report(true, pred, JAFFE_CLASS_NAMES)
+        report = metrics(confusion(true, pred, len(JAFFE_CLASS_NAMES)), JAFFE_CLASS_NAMES)
         print(f"  [jaffe] protocol: stratified 80/20 seed 1, multicrop; "
               f"trace accuracy {report.accuracy_trace:.3f}")
         assert report.accuracy_trace >= 0.60

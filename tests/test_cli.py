@@ -21,7 +21,7 @@ from microexpr.cli import (
     resolve_option,
     save_pixel_stats,
 )
-from microexpr.dataset import GrayImage, encode_pgm
+from microexpr.dataset import GrayImage, encode_pgm, load_manifest
 from microexpr.network import FusionArch, init_model, load_checkpoint, save_checkpoint
 from microexpr.preprocess import PixelStats
 
@@ -321,6 +321,58 @@ class TestPipeline:
         assert metrics["accuracy_trace"] == 1.0
         assert metrics["protocol"]["inference_mode"] == "external"
 
+    @pytest.mark.parametrize("profile,mode", [("cnn-fusion", "multicrop"),
+                                              ("cnn-fusion", "nearest-feature"),
+                                              ("mlp-handcrafted", "multicrop")])
+    def test_external_predictions_score_like_the_checkpoint(self, tmp_path, capsys, profile,
+                                                             mode):
+        """eval --predictions of the labels predict gives with a checkpoint
+        writes the confusion.csv and metrics.json that the checkpoint's own
+        eval writes, but for the protocol's inference mode."""
+        data, work, run = tmp_path / "data", tmp_path / "work", tmp_path / "run"
+        assert main(["synth", "--classes", "3", "--per-class", "6", "--seed", "6",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"),
+                     "--split-fraction", "0.25", "--seed", "6", "--out", str(work)]) == EXIT_OK
+        assert main(["train", "--train-manifest", str(work / "train.csv"),
+                     "--stats", str(work / "pixel_stats.bin"), "--profile", profile,
+                     "--max-epochs", "1", "--seed", "6", "--out", str(run)]) == EXIT_OK
+        ckpt, test = str(run / "model.ckpt"), work / "test.csv"
+        flags = ["--inference-mode", mode]
+        if mode == "nearest-feature":
+            flags += ["--gallery-manifest", str(work / "train.csv")]
+        checkpoint_eval, external_eval = tmp_path / "checkpoint-eval", tmp_path / "external-eval"
+        assert main(["eval", "--test-manifest", str(test), "--checkpoint", ckpt, *flags,
+                     "--out", str(checkpoint_eval)]) == EXIT_OK
+        rows = ["path,predicted_label"]
+        for path, _, _ in load_manifest(test.read_text()).entries:
+            capsys.readouterr()
+            assert main(["predict", str(work / path), "--checkpoint", ckpt, *flags]) == EXIT_OK
+            rows.append(f"{path},{capsys.readouterr().out.split()[0]}")
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("\n".join(rows) + "\n")
+        assert main(["eval", "--test-manifest", str(test), "--predictions", str(predictions),
+                     "--out", str(external_eval)]) == EXIT_OK
+        assert ((external_eval / "confusion.csv").read_bytes()
+                == (checkpoint_eval / "confusion.csv").read_bytes())
+        external = (external_eval / "metrics.json").read_text()
+        assert external.count('"inference_mode": "external"') == 1
+        assert (external.replace('"inference_mode": "external"', f'"inference_mode": "{mode}"')
+                == (checkpoint_eval / "metrics.json").read_text())
+
+    def test_blank_prediction_row_skipped(self, tmp_path):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,subject\nx.pgm,A,s0\ny.pgm,B,s1\n")
+        written = []
+        for name, text in [("plain", "path,predicted_label\nx.pgm,A\ny.pgm,B\n"),
+                           ("blank", "path,predicted_label\nx.pgm,A\n\ny.pgm,B\n")]:
+            predictions, out = tmp_path / f"{name}.csv", tmp_path / name
+            predictions.write_text(text)
+            assert main(["eval", "--test-manifest", str(manifest), "--predictions",
+                         str(predictions), "--out", str(out)]) == EXIT_OK
+            written.append([(out / f).read_bytes() for f in ("metrics.json", "confusion.csv")])
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("profile", ["cnn-fusion", "mlp-handcrafted"])
     def test_train_eval_and_predict_feed_the_same_input(self, tmp_path, monkeypatch, profile):
         """Per image, the network input train fits is the one eval and
@@ -430,6 +482,38 @@ class TestPipeline:
         text = (out / "manifest.csv").read_text()
         assert text.startswith("# classes: AN,DI,FE,HA,NE,SA,SU\n")
         assert "KA.AN1.39.pgm,AN,KA" in text
+
+    def test_manifest_paths_holding_commas_read_back(self, tmp_path):
+        """Every manifest a command writes quotes a path that holds a comma,
+        so the next command reads the path back."""
+        rng = np.random.default_rng(7)
+        src = tmp_path / "jaffe,v2"
+        src.mkdir()
+        for name in ("KA.AN1.39.pgm", "KA.HA2.40.pgm", "YM.SU3.41.pgm"):
+            (src / name).write_bytes(encode_pgm(GrayImage(rng.random((48, 48)))))
+        ingested = tmp_path / "ingested"
+        assert main(["ingest", str(src), "--out", str(ingested)]) == EXIT_OK
+        entries = load_manifest((ingested / "manifest.csv").read_text()).entries
+        assert [path for path, _, _ in entries] == [str(p.resolve()) for p in sorted(src.iterdir())]
+        assert main(["features", "--manifest", str(ingested / "manifest.csv"),
+                     "--out", str(tmp_path / "ingested-features")]) == EXIT_OK
+
+        raw, prep = tmp_path / "raw", tmp_path / "prep"
+        (raw / "images").mkdir(parents=True)
+        rows = ["path,label,subject"]
+        for i in range(8):
+            (raw / "images" / f"a,{i}.pgm").write_bytes(
+                encode_pgm(GrayImage(rng.random((48, 48)))))
+            rows.append(f'"images/a,{i}.pgm",C{i % 2},s{i}')
+        (raw / "manifest.csv").write_text("\n".join(rows) + "\n")
+        assert main(["preprocess", "--manifest", str(raw / "manifest.csv"),
+                     "--out", str(prep)]) == EXIT_OK
+        written = [load_manifest((prep / name).read_text()).entries
+                   for name in ("manifest.csv", "train.csv", "test.csv")]
+        assert [path for path, _, _ in written[0]] == [f"images/a,{i}.pgm" for i in range(8)]
+        assert sorted(written[1] + written[2]) == sorted(written[0])
+        assert main(["features", "--manifest", str(prep / "manifest.csv"),
+                     "--out", str(tmp_path / "prep-features")]) == EXIT_OK
 
     def test_features_csv(self, tmp_path):
         data = tmp_path / "data"

@@ -5,6 +5,7 @@ from microexpr.dataset import (
     JAFFE_CLASS_NAMES,
     GrayImage,
     LabeledSample,
+    Manifest,
     ManifestError,
     PgmError,
     decode_pgm,
@@ -13,6 +14,7 @@ from microexpr.dataset import (
     load_manifest,
     parse_jaffe_name,
     split,
+    write_manifest,
 )
 
 
@@ -120,6 +122,15 @@ class TestLoadManifest:
     def test_header_required(self):
         with pytest.raises(ManifestError, match="header"):
             load_manifest("img.pgm,HA,S1\n")
+
+    def test_written_manifest_reads_back_any_path(self, tmp_path):
+        entries = (("jaffe,v2/KA.AN1.39.pgm", "AN", "KA"), ('say "cheese".pgm', "HA", "S1"),
+                   ("two\nlines.pgm", "AN", ""), ("plain.pgm", "HA", "S2"))
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, entries, ("AN", "HA"))
+        assert load_manifest(path.read_text()) == Manifest(entries, ("AN", "HA"))
+        # A row without a comma, quote or newline is written as plain text.
+        assert path.read_text().endswith("\nplain.pgm,HA,S2\n")
 
 
 def _corpus(per_class, classes=7):

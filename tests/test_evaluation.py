@@ -7,7 +7,6 @@ from microexpr.dataset import GrayImage, Manifest, ManifestError, generate_synth
 from microexpr.evaluation import (
     GALLERY_CHUNK,
     ConfusionMatrix,
-    build_report,
     confusion,
     confusion_to_csv,
     evaluate_external_predictions,
@@ -159,6 +158,17 @@ class TestMae:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mae([], [])
+
+    def test_report_mae_from_counts_is_the_vector_mean(self):
+        """metrics() sums |true - predicted| over the confusion counts; the
+        figure is the bits of mae() over the label vectors."""
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            n = int(rng.integers(1, 401))
+            true, pred = rng.integers(0, k, size=n), rng.integers(0, k, size=n)
+            names = tuple(f"c{j}" for j in range(k))
+            assert metrics(confusion(true, pred, k), names).mae == mae(true, pred)
 
 
 class TestMulticrop:
@@ -379,13 +389,13 @@ class TestSinglePredictMlp:
 
 class TestReports:
     def test_json_schema(self):
-        report, cm = build_report([0, 1, 2, 1], [0, 1, 1, 1], CLASS3)
+        report = metrics(confusion([0, 1, 2, 1], [0, 1, 1, 1], 3), CLASS3)
         payload = json.loads(report_to_json(report, {"split_mode": "stratified",
                                                      "seed": 1,
                                                      "inference_mode": "multicrop"}))
-        assert set(payload) == {
+        assert list(payload) == [
             "accuracy_trace", "accuracy_ovr_macro", "mae", "per_class", "macro", "protocol"
-        }
+        ]
         assert [c["name"] for c in payload["per_class"]] == list(CLASS3)
         assert set(payload["per_class"][0]) == {
             "name", "precision", "recall", "f_measure", "sensitivity", "specificity"

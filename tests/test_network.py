@@ -1021,6 +1021,14 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a\nb", "c", "d"), ("ä", "c", "d")],
+                             ids=["comma", "newline", "non-ascii"])
+    def test_unstorable_class_names_refused_before_the_file_opens(self, tmp_path, names):
+        model = init_model(FusionArch(**TINY), names, seed=21)
+        with pytest.raises(ValueError, match="cannot be stored in a checkpoint"):
+            save_checkpoint(tmp_path / "model.ckpt", model)
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_keeps_a_symlink_and_a_plain_file_mode(self, tmp_path):
         real, link, plain = tmp_path / "real.ckpt", tmp_path / "link.ckpt", tmp_path / "plain"
         link.symlink_to(real)

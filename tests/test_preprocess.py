@@ -232,9 +232,12 @@ class TestGeometry:
     def test_rotate_zero_is_identity(self):
         rng = np.random.default_rng(4)
         px = rng.random((48, 48))
-        assert np.allclose(rotate_bilinear(px, 0.0), px, atol=1e-12)
+        every = [np.arange(48)]
+        assert np.allclose(rotate_bilinear(px[None], [0.0], every, every)[0], px, atol=1e-12)
 
     def test_rotate_180_flips_both_axes(self):
         rng = np.random.default_rng(6)
         px = rng.random((9, 9))
-        assert np.allclose(rotate_bilinear(px, 180.0), px[::-1, ::-1], atol=1e-9)
+        every = [np.arange(9)]
+        assert np.allclose(rotate_bilinear(px[None], [180.0], every, every)[0], px[::-1, ::-1],
+                           atol=1e-9)
