@@ -210,6 +210,10 @@ def cmd_preprocess(args) -> int:
         raise ConfigError(f"split_fraction must lie in (0, 1), got {args.split_fraction}")
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
+    try:  # the written manifests could not declare the classes
+        dataset.require_writable_class_names(manifest.class_names)
+    except ValueError as err:
+        raise ConfigError(f"{manifest_path}: {err}") from err
     # Output name -> entry path, in manifest order.  Images are named by stem
     # alone, so two entries sharing one would overwrite each other.
     names: dict[str, str] = {}

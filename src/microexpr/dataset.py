@@ -203,10 +203,28 @@ def load_manifest(text: str) -> Manifest:
     return Manifest(tuple(entries), class_names)
 
 
+def listable_class_name(name: str) -> bool:
+    """Whether name reads back from a one-line, comma-separated classes list,
+    as a manifest's `# classes:` line and a checkpoint's classes line are:
+    it must hold no comma and no line break."""
+    return "," not in name and name.splitlines(keepends=True) == name.splitlines()
+
+
+def require_writable_class_names(class_names) -> None:
+    """Refuse, with ManifestError naming it, a class name that a manifest's
+    `# classes:` line cannot hold."""
+    for name in class_names:
+        if not listable_class_name(name):
+            raise ManifestError(f"class name {name!r} cannot be written to a manifest's "
+                                "classes line: use names without commas or line breaks")
+
+
 def write_manifest(path, entries, class_names: tuple[str, ...]) -> None:
     """Write a manifest that load_manifest reads back: the `# classes:`
     line, the header, then one CSV row per (path, label, subject) entry,
-    quoted where a cell holds a comma, a quote or a newline."""
+    quoted where a cell holds a comma, a quote or a newline.  Class names
+    are checked by require_writable_class_names before the file opens."""
+    require_writable_class_names(class_names)
     with open(path, "w", newline="") as fh:
         fh.write("# classes: " + ",".join(class_names) + "\npath,label,subject\n")
         csv.writer(fh, lineterminator="\n").writerows(entries)

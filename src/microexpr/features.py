@@ -152,16 +152,6 @@ def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def gradient_polar(gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude q = sqrt(gx^2+gy^2) and unsigned direction theta in [0, pi);
-    zero-gradient pixels get theta 0 (their magnitude contributes nothing)."""
-    q = np.hypot(gx, gy)
-    theta = np.arctan2(gy, gx)
-    theta += np.pi * (theta < 0)  # np.mod(theta, pi) to the bit (-0.0 to +0.0) at 1/5 the cost
-    theta[(theta >= np.pi) | (q == 0)] = 0.0
-    return q, theta
-
-
 def hog_descriptor(img: GrayImage, cell: int, bins: int) -> np.ndarray:
     """Orientation histograms of gradient magnitude over cell x cell pixels
     (partial cells dropped), magnitudes linearly interpolated between the two
@@ -176,9 +166,10 @@ def hog_descriptor(img: GrayImage, cell: int, bins: int) -> np.ndarray:
     gx, gy = gradients(img)
     gx, gy = gx[:h, :w], gy[:h, :w]
 
-    # gradient_polar's q and theta, computed in the gradients' buffers and
-    # without its q == 0 fix-up: q is 0 only where gx and gy are both +-0,
-    # and those angles wrap to +-0, which give the t of theta 0.
+    # Magnitude q = sqrt(gx^2+gy^2) and unsigned direction theta in [0, pi),
+    # computed in the gradients' buffers.  Zero-gradient pixels need no
+    # fix-up to theta 0: q is 0 only where gx and gy are both +-0, and those
+    # angles wrap to +-0, which give the t of theta 0.
     q = np.hypot(gx, gy)
     theta = np.arctan2(gy, gx, out=gy)
     np.add(theta, np.pi, out=theta, where=theta < 0)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .dataset import listable_class_name
 from .preprocess import PREPARED_SIZE, PixelStats, require_prepared
 from .rng import STREAM_INIT, substream
 
@@ -418,7 +419,10 @@ def _branch_backward(dact, cache, grads, prefix):
     dr2 = flatten_backward(dflat, flat_shape)
     dc2 = maxpool2_backward(relu_backward(dr2, mask2), pc2)
     dr1, grads[f"{prefix}.conv2.w"], grads[f"{prefix}.conv2.b"] = conv2d_backward(dc2, cc2)
-    dc1 = maxpool2_backward(relu_backward(dr1, mask1), pc1)
+    # The face pool1 backward sets a fusion step's memory peak: the relu
+    # backward runs in place on the fresh dr1, and dc2 is freed before it.
+    del dc2
+    dc1 = maxpool2_backward(np.multiply(dr1, mask1, out=dr1), pc1)
     _, grads[f"{prefix}.conv1.w"], grads[f"{prefix}.conv1.b"] = conv2d_backward(
         dc1, cc1, input_grad=False)
 
@@ -607,10 +611,10 @@ def _stats_from_tensors(tensors: dict[str, np.ndarray]) -> PixelStats:
 def require_storable_class_names(class_names) -> None:
     """Refuse, with ValueError, class names that the checkpoint's one ASCII,
     comma-separated classes line cannot hold."""
-    unstorable = [n for n in class_names if not n.isascii() or "," in n or "\n" in n]
+    unstorable = [n for n in class_names if not (n.isascii() and listable_class_name(n))]
     if unstorable:
         raise ValueError(f"class names {unstorable} cannot be stored in a checkpoint: "
-                         "use ASCII names without commas or newlines")
+                         "use ASCII names without commas or line breaks")
 
 
 def save_checkpoint(path, model: ModelState) -> None:

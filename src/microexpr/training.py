@@ -333,6 +333,35 @@ def _run_epochs(model, make_batch, labels, cfg,
     saved = {k: np.empty_like(p) for k, p in model.params.items()}
     saved_centers = np.empty_like(model.centers)
 
+    def train_step(epoch, start, idx, lr):
+        """One SGD step and center update on the batch of samples idx, which
+        starts at position start of the epoch's order; returns its joint,
+        cross-entropy and center losses.  Every array of the step (batch,
+        forward cache, probabilities, gradients) is local to this call, so it
+        is freed before the next step's batch is built.  Held one step longer,
+        the descriptor MLP's 27 MB hidden.w gradient would live through the
+        next backward, and the fusion CNN's 28 MiB cache through the next
+        forward."""
+        batch = make_batch(epoch, idx)
+        drop_rng = substream(cfg.seed, STREAM_DROPOUT, epoch, start)
+        logits, feats, cache = forward(model, batch, "train", drop_rng)
+        probs = softmax(logits)
+        onehot = eye[labels[idx]]
+        ce = cross_entropy(probs, onehot)
+        c_loss, dfeat = center_loss(feats, labels[idx], model.centers)
+        batch_loss = ce + cfg.lambda_center * c_loss
+        if not np.isfinite(batch_loss):
+            raise NonFiniteLossError(f"non-finite loss in epoch {epoch}")
+        grads = backward(
+            model, cache, cross_entropy_grad_logits(probs, onehot),
+            cfg.lambda_center * dfeat,
+        )
+        sgd_momentum_step(model.params, velocity, grads, lr, cfg.momentum)
+        model.centers = update_centers(
+            model.centers, feats, labels[idx], cfg.alpha_center
+        )
+        return batch_loss, ce, c_loss
+
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
         for k, buf in saved.items():
@@ -349,24 +378,7 @@ def _run_epochs(model, make_batch, labels, cfg,
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
-                    batch = make_batch(epoch, idx)
-                    drop_rng = substream(cfg.seed, STREAM_DROPOUT, epoch, start)
-                    logits, feats, cache = forward(model, batch, "train", drop_rng)
-                    probs = softmax(logits)
-                    onehot = eye[labels[idx]]
-                    ce = cross_entropy(probs, onehot)
-                    c_loss, dfeat = center_loss(feats, labels[idx], model.centers)
-                    batch_loss = ce + cfg.lambda_center * c_loss
-                    if not np.isfinite(batch_loss):
-                        raise NonFiniteLossError(f"non-finite loss in epoch {epoch}")
-                    grads = backward(
-                        model, cache, cross_entropy_grad_logits(probs, onehot),
-                        cfg.lambda_center * dfeat,
-                    )
-                    sgd_momentum_step(model.params, velocity, grads, lr, cfg.momentum)
-                    model.centers = update_centers(
-                        model.centers, feats, labels[idx], cfg.alpha_center
-                    )
+                    batch_loss, ce, c_loss = train_step(epoch, start, idx, lr)
                     loss_sum += batch_loss * len(idx)
                     ce_sum += ce * len(idx)
                     center_sum += c_loss * len(idx)

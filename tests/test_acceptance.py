@@ -32,7 +32,6 @@ from microexpr.evaluation import (
 )
 from microexpr.features import (
     _lbp_codes,
-    gradient_polar,
     hog_descriptor,
     lbp_histogram,
 )
@@ -62,6 +61,7 @@ from microexpr.training import (
     draw_augment_params,
     train,
 )
+from test_features import gradient_polar
 
 
 @contextmanager

@@ -483,6 +483,24 @@ class TestPipeline:
         assert text.startswith("# classes: AN,DI,FE,HA,NE,SA,SU\n")
         assert "KA.AN1.39.pgm,AN,KA" in text
 
+    @pytest.mark.parametrize("name", ["C1,x", "C1\nx"], ids=["comma", "newline"])
+    def test_preprocess_refuses_unwritable_class_name(self, tmp_path, capsys, name):
+        """Without a classes line the class names are the labels as written;
+        one that the written manifests' classes line cannot hold exits 1,
+        naming it, before anything is written."""
+        data, out = tmp_path / "data", tmp_path / "prep"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        rows = (data / "manifest.csv").read_text().splitlines()[1:]
+        quoted = '"' + name + '"'
+        manifest = data / "renamed.csv"
+        manifest.write_text("\n".join(r.replace(",C1,", f",{quoted},") for r in rows) + "\n")
+        rc = main(["preprocess", "--manifest", str(manifest), "--seed", "1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and repr(name) in err
+        assert not out.exists()
+
     def test_manifest_paths_holding_commas_read_back(self, tmp_path):
         """Every manifest a command writes quotes a path that holds a comma,
         so the next command reads the path back."""

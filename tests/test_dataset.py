@@ -132,6 +132,15 @@ class TestLoadManifest:
         # A row without a comma, quote or newline is written as plain text.
         assert path.read_text().endswith("\nplain.pgm,HA,S2\n")
 
+    @pytest.mark.parametrize("name", ["C1,x", "C1\nx", "C1\rx", "C1\n"],
+                             ids=["comma", "newline", "return", "trailing-newline"])
+    def test_unwritable_class_name_refused_before_the_file_opens(self, tmp_path, name):
+        path = tmp_path / "manifest.csv"
+        with pytest.raises(ManifestError, match="cannot be written") as err:
+            write_manifest(path, [("a.pgm", name, "S1")], ("C0", name))
+        assert repr(name) in str(err.value)
+        assert not path.exists()
+
 
 def _corpus(per_class, classes=7):
     samples = []

@@ -14,7 +14,6 @@ from microexpr.features import (
     _lbp_codes,
     avg_pool_resize,
     crop_regions,
-    gradient_polar,
     gradients,
     handcrafted_descriptor,
     hog_descriptor,
@@ -28,6 +27,17 @@ from microexpr.preprocess import (
     hist_equalize,
     homomorphic_filter,
 )
+
+
+def gradient_polar(gx, gy):
+    """Reference magnitude q = sqrt(gx^2+gy^2) and unsigned direction theta
+    in [0, pi); zero-gradient pixels get theta 0 (their magnitude contributes
+    nothing).  hog_descriptor computes the same in the gradients' buffers."""
+    q = np.hypot(gx, gy)
+    theta = np.arctan2(gy, gx)
+    theta += np.pi * (theta < 0)  # np.mod(theta, pi) to the bit (-0.0 to +0.0)
+    theta[(theta >= np.pi) | (q == 0)] = 0.0
+    return q, theta
 
 
 def oracle_lbp(window):

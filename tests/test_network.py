@@ -799,8 +799,10 @@ class TestConvChunks:
 
     def test_fusion_step_peak_memory(self):
         # A batch-256 float32 step peaked at 175.5 MiB with the whole batch's
-        # im2col matrix cached, 97.2 MiB with blocks.  numpy reports its array
-        # allocations to tracemalloc, so the figure does not depend on malloc.
+        # im2col matrix cached, 97.2 MiB with blocks, and 80.8 MiB once the
+        # branch backward frees dc2 and runs the pool1 relu backward in place.
+        # numpy reports its array allocations to tracemalloc, so the figure
+        # does not depend on malloc.
         model = init_model(FusionArch(classes=7), tuple("abcdefg"), seed=1, dtype=np.float32)
         batch = np.random.default_rng(2).random((256, 42, 42), dtype=np.float32)
         tracemalloc.start()
@@ -810,7 +812,7 @@ class TestConvChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 120 * 2**20, f"step peaked at {peak / 2**20:.1f} MiB"
+        assert peak <= 88 * 2**20, f"step peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestDropout:
@@ -1021,8 +1023,9 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a\nb", "c", "d"), ("ä", "c", "d")],
-                             ids=["comma", "newline", "non-ascii"])
+    @pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a\nb", "c", "d"), ("a\rb", "c", "d"),
+                                       ("ä", "c", "d")],
+                             ids=["comma", "newline", "return", "non-ascii"])
     def test_unstorable_class_names_refused_before_the_file_opens(self, tmp_path, names):
         model = init_model(FusionArch(**TINY), names, seed=21)
         with pytest.raises(ValueError, match="cannot be stored in a checkpoint"):
