@@ -27,7 +27,6 @@ from .evaluation import (
     MetricsReport,
     confusion,
     extract_features,
-    mae,
     metrics,
     multicrop_predict,
     nearest_feature_predict,

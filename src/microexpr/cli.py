@@ -1,18 +1,19 @@
 """Batch command line: ingest, synth, preprocess, features, train, eval,
 predict.
 
-Configuration precedence is flag > config file > built-in default.  Config
-files are flat `key = value` text; `#` starts a comment.  Exit codes: 0
-success, 1 a malformed flag or input file (an error about a file names it),
-2 an unreadable path, a numeric failure or running out of memory.  Every
-subcommand honors --seed, and identical invocations produce byte-identical
-artifacts.
+A setting (a CONFIG_DEFAULTS key) resolves as flag > config file > built-in
+default; other options are flags only.  Config files are flat `key = value`
+text; `#` starts a comment.  Exit codes: 0 success, 1 a malformed flag or
+input file (an error about a file names it), 2 an unreadable path, a numeric
+failure or running out of memory.  Every subcommand honors --seed, and
+identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -46,12 +47,12 @@ SETTING_CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 # Every field of the settings classes (seed is TrainConfig's) takes its
-# default, and so its option type, from its class; dropout_p from the archs.
+# default, and so its option type, from its class; dropout_p network.DROPOUT_P.
 CONFIG_DEFAULTS: dict[str, object] = {
     "workers": 1,
     **{key: choices[0] for key, choices in SETTING_CHOICES.items()},
     "split_fraction": 0.2,
-    "dropout_p": network.FusionArch.dropout_p,
+    "dropout_p": network.DROPOUT_P,
     **{f.name: f.default for settings in (preprocess.HomomorphicParams, training.TrainConfig)
        for f in dataclasses.fields(settings)},
 }
@@ -96,13 +97,19 @@ def resolve_option(name: str, flag_value, file_values: dict[str, str]):
     return value
 
 
-def _load(path, read):
-    """read(Path(path)): malformed content (ValueError, or csv.Error) becomes
+@contextlib.contextmanager
+def _about(path):
+    """Malformed content (ValueError, or csv.Error) raised in the block becomes
     `<path>: <reason>`, exit 1; an OSError names the path already, exit 2."""
     try:
-        return read(Path(path))
+        yield
     except (ValueError, csv.Error) as err:
         raise ConfigError(f"{path}: {err}") from err
+
+
+def _load(path, read):
+    with _about(path):
+        return read(Path(path))
 
 
 def resolve_settings(args: argparse.Namespace) -> None:
@@ -144,17 +151,16 @@ def _read_stats(path: Path) -> preprocess.PixelStats:
     return stats
 
 
+def _read_entry(manifest_path: Path, entry: str, kind: str | None = None, then=lambda img: img):
+    """then(image) of a manifest entry, read by _read_image from the manifest's
+    directory (`/` keeps an absolute path); its errors name the entry's path."""
+    return _load(manifest_path.parent / entry, lambda p: then(_read_image(p, kind)))
+
+
 def _load_samples(manifest_path: Path, manifest: Manifest, kind: str) -> list[LabeledSample]:
-    return [LabeledSample(_load(manifest_path.parent / path,  # `/` keeps absolute paths
-                                lambda p: _read_image(p, kind)),
+    return [LabeledSample(_read_entry(manifest_path, path, kind),
                           manifest.label_index(label), subject)
             for path, label, subject in manifest.entries]
-
-
-def _class_names_for(classes: int) -> tuple[str, ...]:
-    if classes == len(dataset.JAFFE_CLASS_NAMES):
-        return dataset.JAFFE_CLASS_NAMES
-    return tuple(f"C{k}" for k in range(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +190,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     images_dir = out / "images"
     images_dir.mkdir(parents=True, exist_ok=True)
-    class_names = _class_names_for(args.classes)
+    class_names = (dataset.JAFFE_CLASS_NAMES if args.classes == len(dataset.JAFFE_CLASS_NAMES)
+                   else tuple(f"C{k}" for k in range(args.classes)))
     rows = []
     for i, sample in enumerate(samples):
         name = f"{class_names[sample.label]}_{i:04d}.pgm"
@@ -201,7 +208,7 @@ def _preprocess_one(img: GrayImage, params: preprocess.HomomorphicParams) -> Gra
     size = preprocess.PREPARED_SIZE
     resized = preprocess.bilinear_resize(equalized.pixels, size, size)
     # Quantize now so stats are fitted on exactly what later stages reload.
-    return GrayImage(np.rint(np.clip(resized, 0.0, 1.0) * 255.0) / 255.0)
+    return GrayImage(dataset.to_8bit(resized) / 255.0)
 
 
 def cmd_preprocess(args) -> int:
@@ -210,25 +217,21 @@ def cmd_preprocess(args) -> int:
         raise ConfigError(f"split_fraction must lie in (0, 1), got {args.split_fraction}")
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
-    try:  # the written manifests could not declare the classes
+    names: dict[str, str] = {}  # output name -> entry path, in manifest order
+    # Refused: classes no written manifest can declare, and two entries of
+    # one stem, whose images (named by stem alone) would overwrite each other.
+    with _about(manifest_path):
         dataset.require_writable_class_names(manifest.class_names)
-    except ValueError as err:
-        raise ConfigError(f"{manifest_path}: {err}") from err
-    # Output name -> entry path, in manifest order.  Images are named by stem
-    # alone, so two entries sharing one would overwrite each other.
-    names: dict[str, str] = {}
-    for path, _, _ in manifest.entries:
-        name = f"images/{Path(path).stem}.pgm"
-        if name in names:
-            raise ConfigError(f"{manifest_path}: entries {names[name]} and {path} would "
-                              f"both be written to {name}")
-        names[name] = path
+        for path, _, _ in manifest.entries:
+            name = f"images/{Path(path).stem}.pgm"
+            if name in names:
+                raise ValueError(f"entries {names[name]} and {path} would both be written to {name}")
+            names[name] = path
     params = _build(preprocess.HomomorphicParams, args)
 
     def process(entry):
         try:
-            return _load(manifest_path.parent / entry[0],
-                         lambda p: _preprocess_one(_read_image(p), params)), None
+            return _read_entry(manifest_path, entry[0], then=lambda img: _preprocess_one(img, params)), None
         except (OSError, ConfigError) as err:
             return None, err
 
@@ -244,13 +247,11 @@ def cmd_preprocess(args) -> int:
             samples.append(LabeledSample(img, manifest.label_index(label), subject))
 
     # Split and fit before the first write, so a refused split leaves nothing.
-    try:  # too few images in the manifest, of a class or in all
+    with _about(manifest_path):  # too few images in the manifest, of a class or in all
         train_part, _ = dataset.split(samples, args.split_fraction, args.seed,
                                       by_subject=args.split_mode == "subject")
         stats = preprocess.fit_pixel_stats(
             [preprocess.normalize_per_image(s.image) for s in train_part])
-    except ValueError as err:
-        raise ConfigError(f"{manifest_path}: {err}") from err
     train_ids = {id(s) for s in train_part}
 
     out = Path(args.out)
@@ -276,8 +277,7 @@ def cmd_features(args) -> int:
     manifest = _read_manifest_file(manifest_path)
 
     def describe(entry):  # in the reader, so an image too small to crop names its file
-        return _load(manifest_path.parent / entry[0],
-                     lambda p: features.image_descriptor(_read_image(p)))
+        return _read_entry(manifest_path, entry[0], then=features.image_descriptor)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
         descriptors = list(pool.map(describe, manifest.entries))
@@ -299,13 +299,11 @@ def cmd_train(args) -> int:
     manifest_path = Path(args.train_manifest)
     manifest = _read_manifest_file(manifest_path)
     classes = len(manifest.class_names)
-    if classes < 2:
-        raise ConfigError(f"{manifest_path}: {classes} class {list(manifest.class_names)}; "
-                          "training needs at least 2 classes")
-    try:
+    with _about(manifest_path):
+        if classes < 2:
+            raise ValueError(f"{classes} class {list(manifest.class_names)}; "
+                             "training needs at least 2 classes")
         network.require_storable_class_names(manifest.class_names)
-    except ValueError as err:
-        raise ConfigError(f"{manifest_path}: {err}") from err
     # Checked before any image, and even for the descriptor MLP, which pixel
     # statistics do not touch.
     stats = _load(args.stats, _read_stats) if args.stats else None
@@ -325,15 +323,14 @@ def cmd_train(args) -> int:
         model, log = training.train(model, samples, cfg, checkpoint_dir=out,
                                     checkpoint_every=args.checkpoint_every)
     except training.NonFiniteLossError as err:
-        # The model was rolled back in place; it and the log so far are kept.
+        # Rolled back in place: the model and the log so far are kept, then raised.
         error, log = err, getattr(err, "log", training.TrainLog())
     # Made only now, so a run refused before its first epoch leaves nothing.
     out.mkdir(parents=True, exist_ok=True)
     network.save_checkpoint(out / "model.ckpt", model)
     log.write_csv(out / "train_log.csv")
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise error
     last = log.records[-1]
     print(f"trained {last.epoch} epoch(s), final loss {last.loss:.6f} -> {out / 'model.ckpt'}")
     return EXIT_OK
@@ -341,9 +338,10 @@ def cmd_train(args) -> int:
 
 def _require_classes(model, manifest: Manifest, path: Path) -> None:
     # A manifest label indexes the manifest's own class list.
-    if model.class_names != manifest.class_names:
-        raise ValueError(f"{path}: manifest classes {manifest.class_names} != checkpoint "
-                         f"classes {model.class_names}")
+    with _about(path):
+        if model.class_names != manifest.class_names:
+            raise ValueError(f"manifest classes {manifest.class_names} != checkpoint "
+                             f"classes {model.class_names}")
 
 
 def _read_gallery(args) -> tuple[Path, Manifest] | None:
@@ -406,9 +404,8 @@ def cmd_eval(args) -> int:
         model = _load(args.checkpoint, network.load_checkpoint)
         _require_classes(model, manifest, manifest_path)
         samples = _load_samples(manifest_path, manifest, model.arch.kind)
-        true = np.array([s.label for s in samples], dtype=np.int64)
-        predictions = _predict(model, [s.image for s in samples], gallery_manifest)
-        pred = np.array([label for label, _ in predictions], dtype=np.int64)
+        true = [s.label for s in samples]  # confusion makes both int64
+        pred = [label for label, _ in _predict(model, [s.image for s in samples], gallery_manifest)]
         inference_mode = args.inference_mode
 
     protocol = {

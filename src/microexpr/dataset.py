@@ -138,11 +138,15 @@ def decode_pgm(data: bytes) -> GrayImage:
     return GrayImage(px / 255.0)
 
 
+def to_8bit(pixels: np.ndarray) -> np.ndarray:
+    """The one 8-bit rule, as uint8: clip to [0,1], scale by 255, round half to even."""
+    return np.rint(np.clip(pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
 def encode_pgm(img: GrayImage) -> bytes:
-    """Write a binary PGM; values are clipped to [0,1] and rounded to 8 bits."""
-    q = np.clip(np.rint(img.pixels * 255.0), 0, 255).astype(np.uint8)
+    """Write a binary PGM of to_8bit(pixels), which decode_pgm reads back / 255."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + q.tobytes()
+    return header + to_8bit(img.pixels).tobytes()
 
 
 def parse_jaffe_name(filename: str, class_names: tuple[str, ...] | list[str]) -> tuple[int, str]:
@@ -317,8 +321,5 @@ def generate_synthetic(
         for i in range(per_class):
             s_rng = substream(seed, STREAM_SYNTH, 1, label * per_class + i)
             noisy = template + s_rng.normal(0.0, _SYNTH_NOISE_STD, size=template.shape)
-            quantized = np.rint(np.clip(noisy, 0.0, 1.0) * 255.0) / 255.0
-            samples.append(
-                LabeledSample(GrayImage(quantized), label, f"S{i % 10:02d}")
-            )
+            samples.append(LabeledSample(GrayImage(to_8bit(noisy) / 255.0), label, f"S{i % 10:02d}"))
     return samples

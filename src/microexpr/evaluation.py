@@ -150,20 +150,11 @@ def metrics(cm: ConfusionMatrix, class_names: tuple[str, ...] | None = None) -> 
     return MetricsReport(
         accuracy_trace=float(np.trace(counts) / total),
         accuracy_ovr_macro=float(np.mean(ovr_accuracies)),
-        # An exact integer sum divided once: the bits of mae() on the labels.
+        # An exact integer sum divided once: the bits of mean(|true - pred|) on the labels.
         mae=float((counts * np.abs(np.subtract(*np.indices(counts.shape)))).sum() / total),
         per_class=tuple(per_class),
         macro=macro,
     )
-
-
-def mae(true, pred) -> float:
-    """Mean absolute difference of class indices under the canonical order."""
-    true = np.asarray(true, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if true.shape != pred.shape or true.size == 0:
-        raise ValueError("need equal-length nonempty label vectors")
-    return float(np.abs(true - pred).mean())
 
 
 # ---------------------------------------------------------------------------

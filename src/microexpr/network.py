@@ -224,6 +224,16 @@ def he_std(n_input: int) -> float:
 # ---------------------------------------------------------------------------
 # Architectures
 
+DROPOUT_P = 0.5  # every architecture's dropout_p default, and the CLI's
+
+
+def _require_arch(arch) -> None:
+    """The checks every architecture shares: classes and dropout_p."""
+    if arch.classes < 2:
+        raise ValueError("need at least 2 classes")
+    if not 0.0 <= arch.dropout_p < 1.0:
+        raise ValueError("dropout_p must lie in [0,1)")
+
 
 @dataclass(frozen=True)
 class FusionArch:
@@ -242,15 +252,12 @@ class FusionArch:
     conv2_channels: int = 32
     branch_units: int = 128
     fusion_units: int = 128
-    dropout_p: float = 0.5
+    dropout_p: float = DROPOUT_P
 
     kind = "fusion"
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0,1)")
+        _require_arch(self)
         if self.input_size > PREPARED_SIZE:
             raise ValueError(f"input_size must be at most {PREPARED_SIZE}")
         if self.crop_rows * 3 > self.input_size * 2:
@@ -309,17 +316,14 @@ class MlpArch:
     classes: int
     input_dim: int
     hidden_units: int = 256
-    dropout_p: float = 0.5
+    dropout_p: float = DROPOUT_P
 
     kind = "mlp"
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
+        _require_arch(self)
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0,1)")
 
     @property
     def feature_dim(self) -> int:

@@ -220,13 +220,18 @@ def _bilinear_taps(px: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray
     )
 
 
+def resize_source(count: int, n_in, n_out, start=0) -> np.ndarray:
+    """Unclamped center-aligned source of outputs start + arange(count) when resizing n_in to n_out."""
+    return (np.arange(count, dtype=np.float64) + start + 0.5) * (n_in / n_out) - 0.5
+
+
 def bilinear_resize(px: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Center-aligned bilinear resize: src = (dst + 0.5) * scale - 0.5."""
+    """Center-aligned bilinear resize, sampling at resize_source."""
     h, w = px.shape
     if out_h == h and out_w == w:
         return px.copy()
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    ys = resize_source(out_h, h, out_h)
+    xs = resize_source(out_w, w, out_w)
     return _bilinear_sample(px[None], ys[:, None], xs[None, :])[0]
 
 

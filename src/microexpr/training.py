@@ -29,6 +29,7 @@ from .preprocess import (
     normalize_per_image,
     require_finite_fields,
     require_prepared,
+    resize_source,
     rotate_bilinear,
 )
 from .rng import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_SHUFFLE, substream
@@ -153,8 +154,7 @@ def _resize_sources(sizes: np.ndarray, starts: np.ndarray, window: int):
     it samples at, relative to the first source row or column its taps read,
     then that first index and the count of indices read.  Arrays (k, window),
     (k,) and (k,)."""
-    src = (np.arange(window, dtype=np.float64) + starts[:, None] + 0.5) \
-        * (PREPARED_SIZE / sizes)[:, None] - 0.5
+    src = resize_source(window, PREPARED_SIZE, sizes[:, None], starts[:, None])
     src = np.clip(src, 0.0, PREPARED_SIZE - 1.0)
     lo = src[:, 0].astype(np.int64)
     hi = np.minimum(src[:, -1].astype(np.int64) + 1, PREPARED_SIZE - 1)
@@ -343,8 +343,9 @@ def _run_epochs(model, make_batch, labels, cfg,
     """Shared epoch loop: shuffle, batch, joint loss, SGD step, center update.
     make_batch(epoch, indices) produces the network input for those samples.
     With checkpoint_every > 0, an epoch-tagged checkpoint lands in
-    checkpoint_dir, created when the first one is written, every that many
-    epochs."""
+    checkpoint_dir (required; made at the first one) every that many epochs."""
+    if checkpoint_every > 0 and checkpoint_dir is None:
+        raise ValueError(f"checkpoint_every={checkpoint_every} needs a checkpoint_dir")
     n = len(labels)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.arch.classes:
         raise ValueError("label out of range for model classes")
@@ -418,7 +419,7 @@ def _run_epochs(model, make_batch, labels, cfg,
             EpochRecord(epoch, epoch_loss, ce_sum / n, center_sum / n, lr,
                         time.perf_counter() - started)
         )
-        if checkpoint_every > 0 and checkpoint_dir is not None and epoch % checkpoint_every == 0:
+        if checkpoint_every > 0 and epoch % checkpoint_every == 0:
             os.makedirs(checkpoint_dir, exist_ok=True)
             save_checkpoint(f"{checkpoint_dir}/model_epoch{epoch}.ckpt", model)
         if epoch_loss < cfg.loss_epsilon:

@@ -25,7 +25,6 @@ from microexpr.dataset import (
 from microexpr.evaluation import (
     ConfusionMatrix,
     extract_features,
-    mae,
     metrics,
     multicrop_predict,
     nearest_feature_predict,
@@ -61,6 +60,7 @@ from microexpr.training import (
     draw_augment_params,
     train,
 )
+from test_evaluation import mae
 from test_features import gradient_polar
 
 

@@ -21,9 +21,10 @@ from microexpr.cli import (
     resolve_option,
     save_pixel_stats,
 )
-from microexpr.dataset import GrayImage, encode_pgm, load_manifest
+from microexpr.cli import _preprocess_one
+from microexpr.dataset import GrayImage, decode_pgm, encode_pgm, load_manifest
 from microexpr.network import FusionArch, init_model, load_checkpoint, save_checkpoint
-from microexpr.preprocess import PixelStats
+from microexpr.preprocess import HomomorphicParams, PixelStats
 
 
 def untrained_model(root):
@@ -210,6 +211,25 @@ class TestPipeline:
         assert len(train_rows) - 2 == 18  # comment + header
         assert len(test_rows) - 2 == 6
         assert (work / "pixel_stats.bin").exists()
+
+    @pytest.mark.parametrize("resized", ["pipeline", "edge values"])
+    def test_prepared_image_is_what_its_pgm_reloads(self, monkeypatch, resized):
+        """preprocess fits the pixel statistics on _preprocess_one's output,
+        and training reads its PGM: the two must be the same bits.  "edge
+        values" hands the quantization values outside [0, 1] and exact
+        half-steps of the 8-bit grid in place of the resized image."""
+        rng = np.random.default_rng(28)
+        if resized == "edge values":
+            values = rng.uniform(-0.5, 1.5, size=48 * 48)
+            half = (np.arange(255) + 0.5) / 255.0
+            half = half[half * 255.0 == np.arange(255) + 0.5]  # exact x.5 once scaled
+            values[: len(half)] = half
+            values = values.reshape(48, 48)
+            monkeypatch.setattr(microexpr.preprocess, "bilinear_resize", lambda px, h, w: values)
+            assert len(half) > 100 and values.min() < 0.0 and values.max() > 1.0
+        prepared = _preprocess_one(GrayImage(rng.random((64, 64))), HomomorphicParams())
+        reloaded = decode_pgm(encode_pgm(prepared))
+        assert prepared.pixels.tobytes() == reloaded.pixels.tobytes()
 
     def test_determinism_byte_identical_artifacts(self, tmp_path):
         run_a = run_pipeline(tmp_path / "a", seed=7)
@@ -772,6 +792,22 @@ class TestExitCodes:
         assert main(argv) == EXIT_VALIDATION
         assert "tensor param:fuse2.b holds non-finite values" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
+
+    def test_blown_up_train_keeps_its_model_and_log_and_reports_once(self, tmp_path, capsys):
+        """The rolled-back model and the log so far are written, and the
+        error is one `error:` line on stderr with exit 2."""
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--classes", "3", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--train-manifest", str(data / "manifest.csv"),
+                     "--profile", "mlp-handcrafted", "--lr", "1e20", "--max-epochs", "6",
+                     "--out", str(run)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite ") and captured.err.count("\n") == 1
+        load_checkpoint(run / "model.ckpt")
+        assert (run / "train_log.csv").read_text().startswith("epoch,loss,")
 
     def test_blown_up_checkpoint_serves_no_nan(self, tmp_path, capsys):
         """A run whose rate blows up leaves finite but huge weights, whose

@@ -11,7 +11,6 @@ from microexpr.evaluation import (
     confusion_to_csv,
     evaluate_external_predictions,
     extract_features,
-    mae,
     metrics,
     multicrop_batch,
     multicrop_predict,
@@ -31,6 +30,16 @@ from microexpr.network import (
 from microexpr.training import TrainConfig, train
 
 CLASS3 = ("a", "b", "c")
+
+
+def mae(true, pred) -> float:
+    """Reference MAE: mean absolute difference of the class indices of two
+    label vectors.  metrics() computes it from the confusion counts."""
+    true = np.asarray(true, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    if true.shape != pred.shape or true.size == 0:
+        raise ValueError("need equal-length nonempty label vectors")
+    return float(np.abs(true - pred).mean())
 
 
 def fusion_model(seed=0, classes=3, zero=False):

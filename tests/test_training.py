@@ -652,6 +652,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="^label out of range for model classes$"):
             train_on_rows(init_model(arch, CLASS3, seed=1), rows, labels, cfg)
 
+    def test_checkpoint_every_without_a_directory_rejected_by_both_entries(self):
+        """Periodic checkpoints with nowhere to go are refused before the
+        first epoch rather than skipped without a word."""
+        samples = small_corpus(per_class=2)
+        model, cfg = self._fresh(max_epochs=2)
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(ValueError, match="^checkpoint_every=1 needs a checkpoint_dir$"):
+            train(model, samples, cfg, checkpoint_every=1)
+        for name, tensor in model.params.items():
+            assert np.array_equal(tensor, before[name]), name
+        arch, rows, labels = rows_problem()
+        with pytest.raises(ValueError, match="^checkpoint_every=2 needs a checkpoint_dir$"):
+            train_on_rows(init_model(arch, CLASS3, seed=1), rows, labels, cfg, checkpoint_every=2)
+
     def test_smoke_training_fits_small_corpus(self):
         samples = small_corpus(per_class=8)
         model, cfg = self._fresh(max_epochs=25)
