@@ -43,7 +43,7 @@ class ConfigError(ValueError):
 SETTING_CHOICES: dict[str, tuple[str, ...]] = {
     "profile": ("cnn-fusion", "mlp-handcrafted"),
     "inference_mode": ("multicrop", "nearest-feature"),
-    "split_mode": ("stratified", "subject"),
+    "split_mode": dataset.SPLIT_MODES,
 }
 
 # Every field of the settings classes (seed is TrainConfig's) takes its
@@ -180,7 +180,7 @@ def cmd_ingest(args) -> int:
     # Made only now, so a refused directory leaves no output.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset.write_manifest(out / "manifest.csv", rows, dataset.JAFFE_CLASS_NAMES)
+    dataset.write_manifest(out / "manifest.csv", rows, dataset.JAFFE_CLASS_NAMES, None)
     print(f"ingested {len(rows)} images -> {out / 'manifest.csv'}")
     return EXIT_OK
 
@@ -197,7 +197,7 @@ def cmd_synth(args) -> int:
         name = f"{class_names[sample.label]}_{i:04d}.pgm"
         (images_dir / name).write_bytes(dataset.encode_pgm(sample.image))
         rows.append((f"images/{name}", class_names[sample.label], sample.subject))
-    dataset.write_manifest(out / "manifest.csv", rows, class_names)
+    dataset.write_manifest(out / "manifest.csv", rows, class_names, None)
     print(f"wrote {len(rows)} synthetic images -> {out}")
     return EXIT_OK
 
@@ -258,11 +258,12 @@ def cmd_preprocess(args) -> int:
     (out / "images").mkdir(parents=True, exist_ok=True)
     for (name, _, _), sample in zip(rows, samples):
         (out / name).write_bytes(dataset.encode_pgm(sample.image))
-    dataset.write_manifest(out / "manifest.csv", rows, manifest.class_names)
+    dataset.write_manifest(out / "manifest.csv", rows, manifest.class_names, None)
     train_rows = [row for s, row in zip(samples, rows) if id(s) in train_ids]
     test_rows = [row for s, row in zip(samples, rows) if id(s) not in train_ids]
-    dataset.write_manifest(out / "train.csv", train_rows, manifest.class_names)
-    dataset.write_manifest(out / "test.csv", test_rows, manifest.class_names)
+    split = {key: getattr(args, key) for key in dataset.SPLIT_KEYS}  # recorded for eval
+    dataset.write_manifest(out / "train.csv", train_rows, manifest.class_names, split)
+    dataset.write_manifest(out / "test.csv", test_rows, manifest.class_names, split)
     save_pixel_stats(out / "pixel_stats.bin", stats)
     print(f"preprocessed {len(samples)} images ({len(train_rows)} train / {len(test_rows)} test)")
     skipped = len(manifest.entries) - len(rows)
@@ -292,8 +293,6 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _build(training.TrainConfig, args)
-    if args.max_epochs < 1:
-        raise ConfigError("max_epochs must be at least 1 for training")
     if args.checkpoint_every < 0:
         raise ConfigError(f"checkpoint_every must be at least 0, got {args.checkpoint_every}")
     manifest_path = Path(args.train_manifest)
@@ -372,9 +371,9 @@ def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
 
 
 def _read_predictions(path: Path) -> dict[str, str]:
-    """{manifest path: predicted label} from an external predictions CSV;
-    blank rows are skipped, as in a manifest."""
-    rows = [row for row in csv.reader(path.read_text().splitlines()) if row]
+    """{manifest path: predicted label} from an external predictions CSV,
+    whose rows are read as a manifest's are."""
+    rows = dataset.csv_rows(path.read_text().splitlines())
     if not rows or [c.strip() for c in rows[0]] != ["path", "predicted_label"]:
         raise ValueError("predictions CSV must start with 'path,predicted_label'")
     table: dict[str, str] = {}
@@ -408,11 +407,9 @@ def cmd_eval(args) -> int:
         pred = [label for label, _ in _predict(model, [s.image for s in samples], gallery_manifest)]
         inference_mode = args.inference_mode
 
-    protocol = {
-        "split_mode": args.split_mode,
-        "seed": args.seed,
-        "inference_mode": inference_mode,
-    }
+    # The split the test manifest records, None for each key without a record.
+    protocol = {**(manifest.split or dict.fromkeys(dataset.SPLIT_KEYS)),
+                "inference_mode": inference_mode}
     cm = evaluation.confusion(true, pred, len(manifest.class_names))
     report = evaluation.metrics(cm, manifest.class_names)
     # Made only now, so a refused checkpoint or gallery leaves no directory.
@@ -505,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--predictions", help="external path,predicted_label CSV (no model)")
     p.add_argument("--gallery-manifest", dest="gallery_manifest")
-    for key in ("inference_mode", "split_mode"):
-        _add_setting(p, key)
+    _add_setting(p, "inference_mode")
     _add_common(p)
 
     p = sub.add_parser("predict", help="classify one PGM image")

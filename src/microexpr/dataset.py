@@ -19,6 +19,11 @@ from .rng import STREAM_SPLIT, STREAM_SYNTH, substream
 # Canonical JAFFE expression codes, alphabetical; index = label.
 JAFFE_CLASS_NAMES = ("AN", "DI", "FE", "HA", "NE", "SA", "SU")
 
+# A `# split:` line records the split that wrote a manifest: these settings,
+# each of the type a config file reads it as; split_mode one of SPLIT_MODES.
+SPLIT_KEYS = {"split_mode": str, "seed": int, "split_fraction": float}
+SPLIT_MODES = ("stratified", "subject")
+
 
 class PgmError(ValueError):
     """Malformed PGM input. `reason` is one of magic/header/maxval/truncated;
@@ -67,10 +72,12 @@ class LabeledSample:
 @dataclass(frozen=True)
 class Manifest:
     """Entries are (path, label name, subject); class_names order fixes the
-    label-index mapping used everywhere downstream."""
+    label-index mapping used everywhere downstream.  split is the record of
+    the split that wrote the manifest, a SPLIT_KEYS dict, or None."""
 
     entries: tuple[tuple[str, str, str], ...]
     class_names: tuple[str, ...]
+    split: dict[str, object] | None
 
     def __post_init__(self):
         if len(set(self.class_names)) != len(self.class_names):
@@ -166,34 +173,51 @@ def parse_jaffe_name(filename: str, class_names: tuple[str, ...] | list[str]) ->
     return list(class_names).index(code), subj
 
 
-def load_manifest(text: str) -> Manifest:
-    """Parse a manifest CSV: optional `# classes: a,b,c` comment, then a
-    `path,label,subject` header, then one row per sample.
+def csv_rows(lines: list[str]) -> list[list[str]]:
+    """The non-blank CSV rows of text lines; a quoted cell keeps its line breaks."""
+    return [row for row in csv.reader(io.StringIO("\n".join(lines))) if row]
 
-    Without the comment, class names are the sorted set of labels seen.
+
+def _read_split(items: list[str]) -> dict[str, object]:
+    """The split record of a `# split:` line's key=value items."""
+    values = dict(item.partition("=")[::2] for item in items)
+    try:
+        if sorted(values) != sorted(SPLIT_KEYS) or len(items) != len(SPLIT_KEYS):
+            raise ValueError(f"give each of {list(SPLIT_KEYS)} once")
+        split = {key: kind(values[key]) for key, kind in SPLIT_KEYS.items()}
+        if split["split_mode"] not in SPLIT_MODES:
+            raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
+    except ValueError as err:
+        raise ManifestError(f"'# split: {','.join(items)}': {err}") from None
+    return split
+
+
+def load_manifest(text: str) -> Manifest:
+    """Parse a manifest CSV: optional `# classes: a,b,c` and `# split: …`
+    lines, then a `path,label,subject` header, then one row per sample.
+
+    Without `# classes:`, class names are the sorted set of labels seen;
+    without `# split:`, the split is None.
     """
     lines = text.splitlines()
-    declared: tuple[str, ...] | None = None
-    body_start = 0
+    preamble: dict[str, list[str]] = {}  # `# key: a,b` lines; other `#` lines are comments
     for i, line in enumerate(lines):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
-            after = stripped[1:].strip()
-            if after.lower().startswith("classes:"):
-                if declared is not None:
-                    raise ManifestError(f"line {i + 1}: a second '# classes:' line")
-                names = [n.strip() for n in after.split(":", 1)[1].split(",") if n.strip()]
-                declared = tuple(names)
+            key, sep, value = stripped[1:].strip().partition(":")
+            if sep and key.lower() in ("classes", "split"):
+                if key.lower() in preamble:
+                    raise ManifestError(f"line {i + 1}: a second '# {key.lower()}:' line")
+                preamble[key.lower()] = [n.strip() for n in value.split(",") if n.strip()]
             continue
         body_start = i
         break
     else:
         raise ManifestError("empty manifest")
 
-    reader = csv.reader(io.StringIO("\n".join(lines[body_start:])))
-    rows = [row for row in reader if row]
+    rows = csv_rows(lines[body_start:])
     if not rows or [c.strip() for c in rows[0]] != ["path", "label", "subject"]:
         raise ManifestError("manifest must start with a 'path,label,subject' header")
     entries: list[tuple[str, str, str]] = []
@@ -203,8 +227,9 @@ def load_manifest(text: str) -> Manifest:
         entries.append((row[0].strip(), row[1].strip(), row[2].strip()))
     if not entries:
         raise ManifestError("manifest has no entries")
-    class_names = declared if declared is not None else tuple(sorted({e[1] for e in entries}))
-    return Manifest(tuple(entries), class_names)
+    class_names = tuple(preamble.get("classes", sorted({e[1] for e in entries})))
+    split = _read_split(preamble["split"]) if "split" in preamble else None
+    return Manifest(tuple(entries), class_names, split)
 
 
 def listable_class_name(name: str) -> bool:
@@ -223,14 +248,18 @@ def require_writable_class_names(class_names) -> None:
                                 "classes line: use names without commas or line breaks")
 
 
-def write_manifest(path, entries, class_names: tuple[str, ...]) -> None:
+def write_manifest(path, entries, class_names: tuple[str, ...], split: dict | None) -> None:
     """Write a manifest that load_manifest reads back: the `# classes:`
-    line, the header, then one CSV row per (path, label, subject) entry,
-    quoted where a cell holds a comma, a quote or a newline.  Class names
-    are checked by require_writable_class_names before the file opens."""
+    line, the `# split:` line of a split record unless split is None, the
+    header, then one CSV row per (path, label, subject) entry, quoted where
+    a cell holds a comma, a quote or a newline.  Class names are checked by
+    require_writable_class_names before the file opens."""
     require_writable_class_names(class_names)
+    head = ["# classes: " + ",".join(class_names)]
+    if split is not None:
+        head.append("# split: " + ",".join(f"{key}={split[key]}" for key in SPLIT_KEYS))
     with open(path, "w", newline="") as fh:
-        fh.write("# classes: " + ",".join(class_names) + "\npath,label,subject\n")
+        fh.write("\n".join(head + ["path,label,subject"]) + "\n")
         csv.writer(fh, lineterminator="\n").writerows(entries)
 
 

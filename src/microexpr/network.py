@@ -353,6 +353,8 @@ def _arch_from_description(line: str):
     kwargs = {}
     for tok in tokens[2:]:
         key, _, value = tok.partition("=")
+        if key in kwargs:
+            raise ValueError(f"bad arch descriptor {line!r}: {key} given twice")
         kwargs[key] = float(value) if key == "dropout_p" else int(value)
     try:
         return archs[tokens[1]](**kwargs)
@@ -614,11 +616,11 @@ def _stats_from_tensors(tensors: dict[str, np.ndarray]) -> PixelStats:
 
 def require_storable_class_names(class_names) -> None:
     """Refuse, with ValueError, class names that the checkpoint's one ASCII,
-    comma-separated classes line cannot hold."""
+    comma-separated classes line cannot hold, and a name given twice."""
     unstorable = [n for n in class_names if not (n.isascii() and listable_class_name(n))]
-    if unstorable:
-        raise ValueError(f"class names {unstorable} cannot be stored in a checkpoint: "
-                         "use ASCII names without commas or line breaks")
+    if unstorable or len(set(class_names)) != len(class_names):
+        raise ValueError(f"class names {unstorable or list(class_names)} cannot be stored in a "
+                         "checkpoint: use distinct ASCII names without commas or line breaks")
 
 
 def save_checkpoint(path, model: ModelState) -> None:
@@ -645,6 +647,7 @@ def load_checkpoint(path) -> ModelState:
     class_names = tuple(meta[1][len("classes ") :].split(","))
     if len(class_names) != arch.classes:
         raise ValueError(f"{len(class_names)} class names for {arch.classes} classes")
+    require_storable_class_names(class_names)
     params = {name: _take(tensors, f"param:{name}", shape)
               for name, shape, _ in arch.param_shapes()}
     centers = _take(tensors, "centers", (arch.classes, arch.feature_dim))

@@ -87,8 +87,8 @@ class TrainConfig:
             raise ValueError("lr_drop_factor must exceed 1")
         if self.plateau_patience < 1:
             raise ValueError("plateau_patience must be at least 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be non-negative")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
         if self.lambda_center < 0:
             raise ValueError("lambda_center must be non-negative")
         if not 0.0 < self.alpha_center <= 1.0:

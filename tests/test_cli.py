@@ -208,8 +208,8 @@ class TestPipeline:
         assert len(list((work / "images").glob("*.pgm"))) == 24
         train_rows = (work / "train.csv").read_text().strip().splitlines()
         test_rows = (work / "test.csv").read_text().strip().splitlines()
-        assert len(train_rows) - 2 == 18  # comment + header
-        assert len(test_rows) - 2 == 6
+        assert len(train_rows) - 3 == 18  # classes, split and header lines
+        assert len(test_rows) - 3 == 6
         assert (work / "pixel_stats.bin").exists()
 
     @pytest.mark.parametrize("resized", ["pipeline", "edge values"])
@@ -285,8 +285,7 @@ class TestPipeline:
     def test_predict_nearest_feature_self_gallery(self, tmp_path, capsys):
         run = run_pipeline(tmp_path)
         work = tmp_path / "work"
-        manifest = (work / "train.csv").read_text().strip().splitlines()
-        first_row = manifest[2].split(",")
+        first_row = load_manifest((work / "train.csv").read_text()).entries[0]
         image = work / first_row[0]
         capsys.readouterr()  # drop pipeline chatter
         assert main(["predict", str(image), "--checkpoint", str(run / "model.ckpt"),
@@ -380,6 +379,45 @@ class TestPipeline:
         assert (external.replace('"inference_mode": "external"', f'"inference_mode": "{mode}"')
                 == (checkpoint_eval / "metrics.json").read_text())
 
+    def test_protocol_is_the_split_the_test_manifest_records(self, tmp_path):
+        """eval reports the split preprocess recorded in test.csv, from a
+        checkpoint and from --predictions, without a split flag; a manifest
+        with no record reports null for each split key."""
+        data, work, run = tmp_path / "data", tmp_path / "work", tmp_path / "run"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        assert main(["preprocess", "--manifest", str(data / "manifest.csv"), "--split-mode",
+                     "subject", "--seed", "5", "--split-fraction", "0.25",
+                     "--out", str(work)]) == EXIT_OK
+        assert main(["train", "--train-manifest", str(work / "train.csv"), "--max-epochs", "1",
+                     "--out", str(run)]) == EXIT_OK
+        test, checkpoint = work / "test.csv", ["--checkpoint", str(run / "model.ckpt")]
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("path,predicted_label\n" + "".join(
+            f"{path},{label}\n" for path, label, _ in load_manifest(test.read_text()).entries))
+        recorded = {"split_mode": "subject", "seed": 5, "split_fraction": 0.25}
+        unrecorded = dict.fromkeys(recorded)
+        for i, (manifest, source, split, mode) in enumerate([
+                (test, checkpoint, recorded, "multicrop"),
+                (test, ["--predictions", str(predictions)], recorded, "external"),
+                (work / "manifest.csv", checkpoint, unrecorded, "multicrop"),
+                (data / "manifest.csv", checkpoint, unrecorded, "multicrop")]):
+            out = tmp_path / f"eval{i}"
+            assert main(["eval", "--test-manifest", str(manifest), *source,
+                         "--out", str(out)]) == EXIT_OK
+            protocol = json.loads((out / "metrics.json").read_text())["protocol"]
+            assert list(protocol.items()) == [*split.items(), ("inference_mode", mode)]
+
+    def test_prediction_path_with_a_newline_reads_back(self, tmp_path):
+        """A predictions CSV is read by the rules of a manifest, so a quoted
+        path keeps its line break in both."""
+        manifest, predictions, out = tmp_path / "m.csv", tmp_path / "p.csv", tmp_path / "out"
+        manifest.write_text('# classes: C0,C1\npath,label,subject\n"a\nb.pgm",C0,s0\nc.pgm,C1,s1\n')
+        predictions.write_text('path,predicted_label\n"a\nb.pgm",C0\nc.pgm,C0\n')
+        assert main(["eval", "--test-manifest", str(manifest), "--predictions", str(predictions),
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "metrics.json").read_text())["accuracy_trace"] == 0.5
+
     def test_blank_prediction_row_skipped(self, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text("path,label,subject\nx.pgm,A,s0\ny.pgm,B,s1\n")
@@ -427,10 +465,9 @@ class TestPipeline:
         assert set(fed) == trained
 
         predicted = set()
-        for line in (work / "train.csv").read_text().splitlines()[2:]:
+        for path, _, _ in load_manifest((work / "train.csv").read_text()).entries:
             fed.clear()
-            assert main(["predict", str(work / line.split(",")[0]),
-                         "--checkpoint", str(ckpt)]) == EXIT_OK
+            assert main(["predict", str(work / path), "--checkpoint", str(ckpt)]) == EXIT_OK
             [row] = trained.intersection(fed)
             predicted.add(row)
         assert predicted == trained
@@ -453,7 +490,7 @@ class TestPipeline:
         # All 24 images, so a default chunk holds more than PACK_MIN_ROWS rows.
         images = str(work / "manifest.csv")
         nearest = ["--inference-mode", "nearest-feature", "--gallery-manifest", images]
-        image = str(work / (work / "test.csv").read_text().splitlines()[2].split(",")[0])
+        image = str(work / load_manifest((work / "test.csv").read_text()).entries[0][0])
         calls = {"eval": ["eval", "--test-manifest", images, "--checkpoint", ckpt],
                  "eval-nearest": ["eval", "--test-manifest", images, "--checkpoint", ckpt,
                                   *nearest],
@@ -729,6 +766,43 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err == (
             f"error: {manifest}: line 2: a second '# classes:' line\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split_lines", [
+        ["split_mode=subject,seed=5,split_fraction=0.25"] * 2,
+        ["split_mode=subject,seed=5,split_fraction=0.25,folds=2"],
+        ["split_mode=subject,split_fraction=0.25"],
+        ["split_mode=subject,seed=5,split_fraction=a quarter"],
+    ], ids=["second", "unknown-key", "missing-key", "bad-value"])
+    def test_second_or_malformed_split_line_refused(self, tmp_path, capsys, split_lines):
+        manifest, predictions = tmp_path / "m.csv", tmp_path / "p.csv"
+        manifest.write_text("".join(f"# split: {line}\n" for line in split_lines)
+                            + "path,label,subject\nf0.pgm,C0,s0\nf1.pgm,C1,s1\n")
+        predictions.write_text("path,predicted_label\nf0.pgm,C0\nf1.pgm,C1\n")
+        out = tmp_path / "out"
+        rc = main(["eval", "--test-manifest", str(manifest), "--predictions", str(predictions),
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+        assert not out.exists()
+
+    def test_eval_takes_no_split_mode(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", "--classes", "2", "--per-class", "2", "--out", str(data)]) == EXIT_OK
+        ckpt, _ = untrained_model(tmp_path)
+        rc = main(["eval", "--test-manifest", str(data / "manifest.csv"), "--checkpoint", str(ckpt),
+                   "--split-mode", "subject", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "unrecognized arguments: --split-mode subject" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_max_epochs_zero_in_config_rejected(self, tmp_path, capsys):
+        config, out = tmp_path / "c.cfg", tmp_path / "run"
+        config.write_text("max_epochs = 0\n")
+        rc = main(["train", "--train-manifest", str(tmp_path / "train.csv"), "--config", str(config),
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: max_epochs must be at least 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("again", ["f0.pgm,C1", "f0.pgm,C0"], ids=["conflicting", "same"])

@@ -127,8 +127,8 @@ class TestLoadManifest:
         entries = (("jaffe,v2/KA.AN1.39.pgm", "AN", "KA"), ('say "cheese".pgm', "HA", "S1"),
                    ("two\nlines.pgm", "AN", ""), ("plain.pgm", "HA", "S2"))
         path = tmp_path / "manifest.csv"
-        write_manifest(path, entries, ("AN", "HA"))
-        assert load_manifest(path.read_text()) == Manifest(entries, ("AN", "HA"))
+        write_manifest(path, entries, ("AN", "HA"), None)
+        assert load_manifest(path.read_text()) == Manifest(entries, ("AN", "HA"), None)
         # A row without a comma, quote or newline is written as plain text.
         assert path.read_text().endswith("\nplain.pgm,HA,S2\n")
 
@@ -137,9 +137,38 @@ class TestLoadManifest:
     def test_unwritable_class_name_refused_before_the_file_opens(self, tmp_path, name):
         path = tmp_path / "manifest.csv"
         with pytest.raises(ManifestError, match="cannot be written") as err:
-            write_manifest(path, [("a.pgm", name, "S1")], ("C0", name))
+            write_manifest(path, [("a.pgm", name, "S1")], ("C0", name), None)
         assert repr(name) in str(err.value)
         assert not path.exists()
+
+    def test_split_record_reads_back(self, tmp_path):
+        path = tmp_path / "test.csv"
+        split = {"split_mode": "subject", "seed": 5, "split_fraction": 0.1 + 0.2}
+        write_manifest(path, [("a.pgm", "AN", "S1")], ("AN", "HA"), split)
+        assert path.read_text().splitlines()[:3] == [
+            "# classes: AN,HA", "# split: split_mode=subject,seed=5,split_fraction=0.30000000000000004",
+            "path,label,subject"]
+        manifest = load_manifest(path.read_text())
+        assert manifest.split == split and list(manifest.split) == list(split)
+        assert type(manifest.split["seed"]) is int
+        assert load_manifest("path,label,subject\na.pgm,AN,S1\n").split is None
+
+    @pytest.mark.parametrize("record,reason", [
+        ("split_mode=subject,seed=5,split_fraction=0.25,folds=5", "give each of"),
+        ("split_mode=subject,seed=5", "give each of"),
+        ("split_mode=subject,seed=5,seed=5,split_fraction=0.25", "give each of"),
+        ("split_mode=subject,seed=five,split_fraction=0.25", "invalid literal for int"),
+        ("split_mode=subject,seed=5,split_fraction=", "could not convert"),
+        ("split_mode=subjetc,seed=5,split_fraction=0.25", "split_mode must be one of"),
+    ], ids=["unknown-key", "missing-key", "key-twice", "bad-seed", "empty-fraction", "bad-mode"])
+    def test_malformed_split_line_refused(self, record, reason):
+        with pytest.raises(ManifestError, match=f"'# split: .*': {reason}"):
+            load_manifest(f"# classes: AN\n# split: {record}\npath,label,subject\na.pgm,AN,S1\n")
+
+    def test_second_split_line_refused(self):
+        record = "# split: split_mode=subject,seed=5,split_fraction=0.25\n"
+        with pytest.raises(ManifestError, match="line 3: a second '# split:' line"):
+            load_manifest("# classes: AN\n" + record * 2 + "path,label,subject\na.pgm,AN,S1\n")
 
 
 def _corpus(per_class, classes=7):

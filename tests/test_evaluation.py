@@ -401,6 +401,7 @@ class TestReports:
         report = metrics(confusion([0, 1, 2, 1], [0, 1, 1, 1], 3), CLASS3)
         payload = json.loads(report_to_json(report, {"split_mode": "stratified",
                                                      "seed": 1,
+                                                     "split_fraction": 0.2,
                                                      "inference_mode": "multicrop"}))
         assert list(payload) == [
             "accuracy_trace", "accuracy_ovr_macro", "mae", "per_class", "macro", "protocol"
@@ -428,6 +429,7 @@ class TestReports:
         manifest = Manifest(
             (("x.pgm", "AN", "s1"), ("y.pgm", "HA", "s1"), ("z.pgm", "HA", "s2")),
             ("AN", "HA"),
+            None,
         )
         true, pred = evaluate_external_predictions(
             manifest, {"x.pgm": "AN", "y.pgm": "AN", "z.pgm": "HA"}
@@ -436,12 +438,12 @@ class TestReports:
         assert pred.tolist() == [0, 0, 1]
 
     def test_external_predictions_missing_path(self):
-        manifest = Manifest((("x.pgm", "AN", "s1"),), ("AN",))
+        manifest = Manifest((("x.pgm", "AN", "s1"),), ("AN",), None)
         with pytest.raises(ManifestError, match="no prediction"):
             evaluate_external_predictions(manifest, {})
 
     def test_external_predictions_unknown_label(self):
-        manifest = Manifest((("x.pgm", "AN", "s1"),), ("AN",))
+        manifest = Manifest((("x.pgm", "AN", "s1"),), ("AN",), None)
         with pytest.raises(ManifestError, match="not in manifest"):
             evaluate_external_predictions(manifest, {"x.pgm": "ZZ"})
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from microexpr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from microexpr.dataset import load_manifest
 from microexpr.network import FusionArch, init_model, save_checkpoint
 
 CASES = {"pgm": 60, "manifest": 60, "predictions": 40, "checkpoint": 80, "stats": 40}
@@ -274,7 +275,7 @@ def test_mutated_manifests(corpus, tmp_path, run):
 def test_mutated_predictions(corpus, tmp_path, run):
     rng = np.random.default_rng(19)
     test_manifest = corpus / "work" / "test.csv"
-    entries = [line.split(",") for line in test_manifest.read_text().splitlines()[2:]]
+    entries = load_manifest(test_manifest.read_text()).entries
     base = "path,predicted_label\n" + "".join(f"{path},{label}\n" for path, label, _ in entries)
     predictions = tmp_path / "predictions.csv"
     for _ in range(CASES["predictions"]):

@@ -937,6 +937,27 @@ class TestCheckpoint:
     def test_arch_line_round_trips_non_default_fields(self, arch):
         assert _arch_from_description(_describe_arch(arch)) == arch
 
+    def test_arch_field_given_twice_refused(self, tmp_path):
+        for line in ("arch mlp classes=3 input_dim=5 classes=4",
+                     "arch mlp classes=3 input_dim=5 classes=3"):
+            with pytest.raises(ValueError, match="classes given twice"):
+                _arch_from_description(line)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(MlpArch(classes=3, input_dim=5), ("A", "B", "C"), seed=0))
+        data = path.read_bytes()
+        arch_line = data.split(b"\n")[1]
+        path.write_bytes(data.replace(arch_line, arch_line + b" classes=3", 1))
+        with pytest.raises(ValueError, match="classes given twice"):
+            load_checkpoint(path)
+
+    def test_duplicate_class_names_refused_on_load(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(MlpArch(classes=2, input_dim=3, hidden_units=2),
+                                         ("A", "B"), seed=0))
+        path.write_bytes(path.read_bytes().replace(b"\nclasses A,B\n", b"\nclasses A,A\n", 1))
+        with pytest.raises(ValueError, match=r"\['A', 'A'\] cannot be stored"):
+            load_checkpoint(path)
+
     def test_forward_agrees_after_round_trip(self, tmp_path):
         model = self._model(with_stats=False)
         path = tmp_path / "fw.ckpt"
@@ -1024,8 +1045,8 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a\nb", "c", "d"), ("a\rb", "c", "d"),
-                                       ("ä", "c", "d")],
-                             ids=["comma", "newline", "return", "non-ascii"])
+                                       ("ä", "c", "d"), ("c", "c", "d")],
+                             ids=["comma", "newline", "return", "non-ascii", "duplicate"])
     def test_unstorable_class_names_refused_before_the_file_opens(self, tmp_path, names):
         model = init_model(FusionArch(**TINY), names, seed=21)
         with pytest.raises(ValueError, match="cannot be stored in a checkpoint"):

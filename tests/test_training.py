@@ -454,6 +454,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lr_drop_factor=1.0)
 
+    def test_at_least_one_epoch(self):
+        with pytest.raises(ValueError, match="max_epochs must be at least 1"):
+            TrainConfig(max_epochs=0)
+        assert TrainConfig(max_epochs=1).max_epochs == 1
+
 
 class TestShuffle:
     def test_epoch_shuffle_is_permutation(self):
