@@ -2,11 +2,12 @@
 predict.
 
 A setting (a CONFIG_DEFAULTS key) resolves as flag > config file > built-in
-default; other options are flags only.  Config files are flat `key = value`
-text; `#` starts a comment.  Exit codes: 0 success, 1 a malformed flag or
-input file (an error about a file names it), 2 an unreadable path, a numeric
-failure or running out of memory.  Every subcommand honors --seed, and
-identical invocations produce byte-identical artifacts.
+default, and each is checked before the command reads anything; other options
+are flags only.  Config files are flat `key = value` text; `#` starts a
+comment.  Exit codes: 0 success, 1 a malformed flag or input file (an error
+about a file names it), 2 an unreadable path, a numeric failure or running out
+of memory.  --seed is read by synth, preprocess and train, --workers by
+preprocess and features; identical invocations give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ CONFIG_DEFAULTS: dict[str, object] = {
 }
 
 
-def parse_config_file(text: str) -> dict[str, str]:
-    """Flat `key = value` lines, each a known setting with a valid value; '#'
-    starts a comment; blanks ignored."""
-    values: dict[str, str] = {}
+def parse_config_file(text: str) -> dict[str, object]:
+    """Flat `key = value` lines, each a known setting with a valid value,
+    converted to its default's type; '#' starts a comment; blanks ignored."""
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,29 +73,27 @@ def parse_config_file(text: str) -> dict[str, str]:
         if key.strip() in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key.strip()!r}")
         values[key.strip()] = value.strip()
-    unknown = set(values) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name in values:
-        resolve_option(name, None, values)
+    if unknown := sorted(set(values) - set(CONFIG_DEFAULTS)):
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for name, raw in values.items():
+        try:
+            values[name] = type(CONFIG_DEFAULTS[name])(raw)
+        except ValueError as err:
+            raise ConfigError(f"config key {name}: {err}") from err
+        if name in SETTING_CHOICES and values[name] not in SETTING_CHOICES[name]:
+            raise ConfigError(f"config key {name}: {raw!r} is not one of {SETTING_CHOICES[name]}")
+    check_settings({**CONFIG_DEFAULTS, **values})  # alone, so that a refusal is the file's
     return values
 
 
-def resolve_option(name: str, flag_value, file_values: dict[str, str]):
-    """Apply the flag > config file > default precedence for one option."""
-    if flag_value is not None:
-        return flag_value
-    default = CONFIG_DEFAULTS[name]
-    if name not in file_values:
-        return default
-    raw = file_values[name]
-    try:
-        value = type(default)(raw)
-    except ValueError as err:
-        raise ConfigError(f"config key {name}: {err}") from err
-    if name in SETTING_CHOICES and value not in SETTING_CHOICES[name]:
-        raise ConfigError(f"config key {name}: {raw!r} is not one of {SETTING_CHOICES[name]}")
-    return value
+def check_settings(values: dict) -> tuple[preprocess.HomomorphicParams, training.TrainConfig]:
+    """The settings objects of a value for every setting, each checked by its rule."""
+    if values["workers"] < 1:
+        raise ConfigError(f"workers must be at least 1, got {values['workers']}")
+    dataset.require_split_fraction(values["split_fraction"])
+    network.require_dropout_p(values["dropout_p"])
+    return tuple(cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
+                 for cls in (preprocess.HomomorphicParams, training.TrainConfig))
 
 
 @contextlib.contextmanager
@@ -113,18 +112,12 @@ def _load(path, read):
 
 
 def resolve_settings(args: argparse.Namespace) -> None:
-    """Set every CONFIG_DEFAULTS key on `args`, so each value in the config
-    file is checked whether or not the command reads it."""
-    file_values = (_load(args.config, lambda p: parse_config_file(p.read_text()))
-                   if args.config else {})
-    for name in CONFIG_DEFAULTS:
-        setattr(args, name, resolve_option(name, getattr(args, name, None), file_values))
-    if args.workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {args.workers}")
-
-
-def _build(cls, args: argparse.Namespace):
-    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+    """Set every CONFIG_DEFAULTS key on `args`, flag > config file > default,
+    and the settings objects args.homomorphic and args.train_config."""
+    file_values = _load(args.config, lambda p: parse_config_file(p.read_text())) if args.config else {}
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    vars(args).update({**CONFIG_DEFAULTS, **file_values, **given})
+    args.homomorphic, args.train_config = check_settings(vars(args))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +205,6 @@ def _preprocess_one(img: GrayImage, params: preprocess.HomomorphicParams) -> Gra
 
 
 def cmd_preprocess(args) -> int:
-    # NaN fails the comparison too; checked before any image is read.
-    if not 0.0 < args.split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must lie in (0, 1), got {args.split_fraction}")
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
     names: dict[str, str] = {}  # output name -> entry path, in manifest order
@@ -227,11 +217,11 @@ def cmd_preprocess(args) -> int:
             if name in names:
                 raise ValueError(f"entries {names[name]} and {path} would both be written to {name}")
             names[name] = path
-    params = _build(preprocess.HomomorphicParams, args)
 
     def process(entry):
         try:
-            return _read_entry(manifest_path, entry[0], then=lambda img: _preprocess_one(img, params)), None
+            return _read_entry(manifest_path, entry[0],
+                               then=lambda img: _preprocess_one(img, args.homomorphic)), None
         except (OSError, ConfigError) as err:
             return None, err
 
@@ -292,7 +282,6 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _build(training.TrainConfig, args)
     if args.checkpoint_every < 0:
         raise ConfigError(f"checkpoint_every must be at least 0, got {args.checkpoint_every}")
     manifest_path = Path(args.train_manifest)
@@ -314,12 +303,12 @@ def cmd_train(args) -> int:
     else:
         arch = network.MlpArch(classes=classes, input_dim=features.IMAGE_DESCRIPTOR_LENGTH,
                                dropout_p=args.dropout_p)
-    model = network.init_model(arch, manifest.class_names, cfg.seed, dtype=np.float32)
+    model = network.init_model(arch, manifest.class_names, args.seed, dtype=np.float32)
     model.pixel_stats = stats if fusion else None
     out = Path(args.out)
     error = None
     try:
-        model, log = training.train(model, samples, cfg, checkpoint_dir=out,
+        model, log = training.train(model, samples, args.train_config, checkpoint_dir=out,
                                     checkpoint_every=args.checkpoint_every)
     except training.NonFiniteLossError as err:
         # Rolled back in place: the model and the log so far are kept, then raised.
@@ -373,7 +362,7 @@ def _predict(model, images, gallery_manifest) -> list[tuple[int, float]]:
 def _read_predictions(path: Path) -> dict[str, str]:
     """{manifest path: predicted label} from an external predictions CSV,
     whose rows are read as a manifest's are."""
-    rows = dataset.csv_rows(path.read_text().splitlines())
+    rows = dataset.csv_rows(dataset.LINE_BREAK.split(path.read_text()))
     if not rows or [c.strip() for c in rows[0]] != ["path", "predicted_label"]:
         raise ValueError("predictions CSV must start with 'path,predicted_label'")
     table: dict[str, str] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ JAFFE_CLASS_NAMES = ("AN", "DI", "FE", "HA", "NE", "SA", "SU")
 # each of the type a config file reads it as; split_mode one of SPLIT_MODES.
 SPLIT_KEYS = {"split_mode": str, "seed": int, "split_fraction": float}
 SPLIT_MODES = ("stratified", "subject")
+
+LINE_BREAK = re.compile(r"\r\n|\r|\n")  # csv.writer quotes these; splitlines splits at more
 
 
 class PgmError(ValueError):
@@ -178,6 +181,11 @@ def csv_rows(lines: list[str]) -> list[list[str]]:
     return [row for row in csv.reader(io.StringIO("\n".join(lines))) if row]
 
 
+def require_split_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:  # NaN fails too
+        raise ValueError(f"split_fraction must lie in (0, 1), got {fraction}")
+
+
 def _read_split(items: list[str]) -> dict[str, object]:
     """The split record of a `# split:` line's key=value items."""
     values = dict(item.partition("=")[::2] for item in items)
@@ -187,6 +195,7 @@ def _read_split(items: list[str]) -> dict[str, object]:
         split = {key: kind(values[key]) for key, kind in SPLIT_KEYS.items()}
         if split["split_mode"] not in SPLIT_MODES:
             raise ValueError(f"split_mode must be one of {SPLIT_MODES}")
+        require_split_fraction(split["split_fraction"])
     except ValueError as err:
         raise ManifestError(f"'# split: {','.join(items)}': {err}") from None
     return split
@@ -199,7 +208,7 @@ def load_manifest(text: str) -> Manifest:
     Without `# classes:`, class names are the sorted set of labels seen;
     without `# split:`, the split is None.
     """
-    lines = text.splitlines()
+    lines = LINE_BREAK.split(text)
     preamble: dict[str, list[str]] = {}  # `# key: a,b` lines; other `#` lines are comments
     for i, line in enumerate(lines):
         stripped = line.strip()
@@ -234,9 +243,8 @@ def load_manifest(text: str) -> Manifest:
 
 def listable_class_name(name: str) -> bool:
     """Whether name reads back from a one-line, comma-separated classes list,
-    as a manifest's `# classes:` line and a checkpoint's classes line are:
-    it must hold no comma and no line break."""
-    return "," not in name and name.splitlines(keepends=True) == name.splitlines()
+    as a manifest's `# classes:` line and a checkpoint's classes line are."""
+    return "," not in name and not LINE_BREAK.search(name)
 
 
 def require_writable_class_names(class_names) -> None:
@@ -275,8 +283,7 @@ def split(
     samples go to test.  by_subject=True instead holds out whole subjects
     (round(test_fraction * n_subjects) of them, at least one on each side).
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0,1)")
+    require_split_fraction(test_fraction)
     by_label: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
         by_label.setdefault(s.label, []).append(i)

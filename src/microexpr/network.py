@@ -227,12 +227,16 @@ def he_std(n_input: int) -> float:
 DROPOUT_P = 0.5  # every architecture's dropout_p default, and the CLI's
 
 
+def require_dropout_p(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout_p must lie in [0,1)")
+
+
 def _require_arch(arch) -> None:
     """The checks every architecture shares: classes and dropout_p."""
     if arch.classes < 2:
         raise ValueError("need at least 2 classes")
-    if not 0.0 <= arch.dropout_p < 1.0:
-        raise ValueError("dropout_p must lie in [0,1)")
+    require_dropout_p(arch.dropout_p)
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,15 @@ from microexpr.cli import (
     EXIT_RUNTIME,
     EXIT_VALIDATION,
     ConfigError,
+    build_parser,
     load_pixel_stats,
     main,
     parse_config_file,
-    resolve_option,
+    resolve_settings,
     save_pixel_stats,
 )
 from microexpr.cli import _preprocess_one
-from microexpr.dataset import GrayImage, decode_pgm, encode_pgm, load_manifest
+from microexpr.dataset import GrayImage, decode_pgm, encode_pgm, load_manifest, write_manifest
 from microexpr.network import FusionArch, init_model, load_checkpoint, save_checkpoint
 from microexpr.preprocess import HomomorphicParams, PixelStats
 
@@ -59,20 +60,28 @@ def run_pipeline(root, seed=3, classes=3, per_class=8, epochs=3, extra_train=())
 class TestConfigFile:
     def test_parse_flat_keys(self):
         text = "# a comment\nlr = 0.5\nbatch_size = 32  # trailing\n\nseed=9\n"
-        assert parse_config_file(text) == {"lr": "0.5", "batch_size": "32", "seed": "9"}
+        assert parse_config_file(text) == {"lr": 0.5, "batch_size": 32, "seed": 9}
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file("just words\n")
 
-    def test_precedence_flag_beats_file_beats_default(self):
-        file_values = {"lr": "0.5", "batch_size": "32"}
-        assert resolve_option("lr", 0.9, file_values) == 0.9
-        assert resolve_option("lr", None, file_values) == 0.5
-        assert resolve_option("momentum", None, file_values) == 0.9
-        assert resolve_option("batch_size", None, file_values) == 32
-        assert resolve_option("batch_size", 8, file_values) == 8
-        assert resolve_option("split_mode", None, {"split_mode": "subject"}) == "subject"
+    def test_precedence_flag_beats_file_beats_default(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("lr = 0.5\nbatch_size = 32\nsplit_mode = subject\n")
+
+        def resolved(*flags):
+            args = build_parser().parse_args(["train", "--train-manifest", "m.csv",
+                                              "--config", str(config), *flags])
+            resolve_settings(args)
+            return args
+
+        assert resolved("--lr", "0.9").train_config.lr == 0.9
+        assert resolved().lr == resolved().train_config.lr == 0.5
+        assert resolved().momentum == 0.9
+        assert resolved().train_config.batch_size == 32
+        assert resolved("--batch-size", "8").train_config.batch_size == 8
+        assert resolved().split_mode == "subject"
 
     def test_config_file_drives_training_options(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -91,7 +100,7 @@ class TestConfigFile:
 
     def test_file_value_outside_choices_refused(self):
         with pytest.raises(ConfigError, match="config key split_mode: 'subjetc' is not one of"):
-            resolve_option("split_mode", None, {"split_mode": "subjetc"})
+            parse_config_file("split_mode = subjetc\n")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -414,6 +423,19 @@ class TestPipeline:
         manifest, predictions, out = tmp_path / "m.csv", tmp_path / "p.csv", tmp_path / "out"
         manifest.write_text('# classes: C0,C1\npath,label,subject\n"a\nb.pgm",C0,s0\nc.pgm,C1,s1\n')
         predictions.write_text('path,predicted_label\n"a\nb.pgm",C0\nc.pgm,C0\n')
+        assert main(["eval", "--test-manifest", str(manifest), "--predictions", str(predictions),
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "metrics.json").read_text())["accuracy_trace"] == 0.5
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_prediction_path_with_a_character_csv_does_not_quote_reads_back(self, tmp_path,
+                                                                             char):
+        manifest, predictions, out = tmp_path / "m.csv", tmp_path / "p.csv", tmp_path / "out"
+        write_manifest(manifest, [(f"a{char}b.pgm", "C0", "s0"), ("c.pgm", "C1", "s1")],
+                       ("C0", "C1"), None)
+        predictions.write_text(f"path,predicted_label\na{char}b.pgm,C0\nc.pgm,C0\n",
+                               encoding="utf-8")
         assert main(["eval", "--test-manifest", str(manifest), "--predictions", str(predictions),
                      "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "metrics.json").read_text())["accuracy_trace"] == 0.5
@@ -802,7 +824,7 @@ class TestExitCodes:
         rc = main(["train", "--train-manifest", str(tmp_path / "train.csv"), "--config", str(config),
                    "--out", str(out)])
         assert rc == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: max_epochs must be at least 1\n"
+        assert capsys.readouterr().err == f"error: {config}: max_epochs must be at least 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("again", ["f0.pgm,C1", "f0.pgm,C0"], ids=["conflicting", "same"])
@@ -1182,7 +1204,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("line,message", [
         ("lr = abc", "config key lr: could not convert"),
         ("split_mode = subjetc", "config key split_mode: 'subjetc' is not one of"),
-    ], ids=["lr", "split_mode"])
+        ("lr = -1", "lr must be positive"),
+        ("lr = nan", "lr must be finite"),
+        ("split_fraction = 5", "split_fraction must lie in (0, 1), got 5.0"),
+        ("dropout_p = 3", "dropout_p must lie in [0,1)"),
+        ("gamma_low = -2", "gains must be non-negative"),
+        ("workers = 0", "workers must be at least 1, got 0"),
+    ], ids=["lr", "split_mode", "lr-negative", "lr-nan", "split_fraction", "dropout_p",
+            "gamma_low", "workers"])
     def test_config_key_the_command_does_not_read_is_checked(self, tmp_path, capsys, line,
                                                              message):
         cfg = tmp_path / "bad.cfg"
@@ -1190,8 +1219,87 @@ class TestExitCodes:
         out = tmp_path / "data"
         assert main(["synth", "--classes", "2", "--per-class", "2", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_VALIDATION
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["lr = -1", "lr = nan", "split_fraction = 5", "dropout_p = 3",
+                                      "gamma_low = -2", "batch_size = 0", "workers = 0"])
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "features", "train", "eval",
+                                         "predict"])
+    def test_out_of_range_config_value_stops_every_command(self, tmp_path, capsys, monkeypatch,
+                                                           command, line):
+        """Refused before any input is read: every named input is missing,
+        and reading one would exit 2."""
+        from microexpr import cli
+
+        def forbidden(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "_read_manifest_file", forbidden)
+        monkeypatch.setattr(cli, "_read_image", forbidden)
+        cfg, missing, out = tmp_path / "bad.cfg", str(tmp_path / "missing"), tmp_path / "out"
+        cfg.write_text(line + "\n")
+        argv = {"synth": ["synth"], "preprocess": ["preprocess", "--manifest", missing],
+                "features": ["features", "--manifest", missing],
+                "train": ["train", "--train-manifest", missing],
+                "eval": ["eval", "--test-manifest", missing, "--checkpoint", missing],
+                "predict": ["predict", missing, "--checkpoint", missing]}[command]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "--workers", "0"], "workers must be at least 1, got 0"),
+        (["preprocess", "--manifest", "m.csv", "--split-fraction", "5"],
+         "split_fraction must lie in (0, 1), got 5.0"),
+        (["preprocess", "--manifest", "m.csv", "--gamma-low", "-2"], "gains must be non-negative"),
+        (["train", "--train-manifest", "m.csv", "--lr", "-1"], "lr must be positive"),
+        (["train", "--train-manifest", "m.csv", "--lr", "nan"], "lr must be finite"),
+        (["train", "--train-manifest", "m.csv", "--batch-size", "0"],
+         "batch_size must be at least 1"),
+        (["train", "--train-manifest", "m.csv", "--dropout-p", "3"], "dropout_p must lie in [0,1)"),
+    ], ids=["workers", "split_fraction", "gamma_low", "lr", "lr-nan", "batch_size", "dropout_p"])
+    def test_out_of_range_flag_refused_by_its_rule(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bad_dropout_p_refused_before_any_image(self, tmp_path, capsys, monkeypatch):
+        from microexpr import cli
+
+        def forbidden(path, kind=None):
+            raise AssertionError("an image was decoded")
+
+        monkeypatch.setattr(cli, "_read_image", forbidden)
+        # The listed image does not exist: reading it would exit 2.
+        manifest, out = tmp_path / "train.csv", tmp_path / "run"
+        manifest.write_text("path,label,subject\nmissing0.pgm,A,s1\nmissing1.pgm,B,s2\n")
+        rc = main(["train", "--train-manifest", str(manifest), "--dropout-p", "3",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: dropout_p must lie in [0,1)\n"
+        assert not out.exists()
+
+    def test_settings_objects_built_once(self, tmp_path, monkeypatch):
+        """preprocess and train run with the objects resolve_settings built."""
+        built = []
+        for cls in (HomomorphicParams, training.TrainConfig):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, check=check: (built.append(type(self)), check(self)))
+        data, work, run = tmp_path / "data", tmp_path / "work", tmp_path / "run"
+        assert main(["synth", "--classes", "2", "--per-class", "4", "--seed", "1",
+                     "--out", str(data)]) == EXIT_OK
+        assert built == [HomomorphicParams, training.TrainConfig]
+        for argv in (["preprocess", "--manifest", str(data / "manifest.csv"), "--out", str(work)],
+                     ["train", "--train-manifest", str(work / "train.csv"), "--max-epochs", "1",
+                      "--out", str(run)]):
+            built.clear()
+            assert main([*argv, "--seed", "1"]) == EXIT_OK
+            assert built == [HomomorphicParams, training.TrainConfig]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_refused(self, tmp_path, capsys, workers):

@@ -132,6 +132,18 @@ class TestLoadManifest:
         # A row without a comma, quote or newline is written as plain text.
         assert path.read_text().endswith("\nplain.pgm,HA,S2\n")
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_path_with_a_character_csv_does_not_quote_reads_back(self, tmp_path, char):
+        """Lines break only at \\r\\n, \\r and \\n, which csv.writer quotes;
+        str.splitlines would also break at these unquoted characters, in a
+        path and in a class name alike."""
+        classes = ("AN", f"H{char}A")
+        entries = ((f"a{char}b.pgm", "AN", "S1"), ("c.pgm", classes[1], "S2"))
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, entries, classes, None)
+        assert load_manifest(path.read_text()) == Manifest(entries, classes, None)
+
     @pytest.mark.parametrize("name", ["C1,x", "C1\nx", "C1\rx", "C1\n"],
                              ids=["comma", "newline", "return", "trailing-newline"])
     def test_unwritable_class_name_refused_before_the_file_opens(self, tmp_path, name):
@@ -160,7 +172,10 @@ class TestLoadManifest:
         ("split_mode=subject,seed=five,split_fraction=0.25", "invalid literal for int"),
         ("split_mode=subject,seed=5,split_fraction=", "could not convert"),
         ("split_mode=subjetc,seed=5,split_fraction=0.25", "split_mode must be one of"),
-    ], ids=["unknown-key", "missing-key", "key-twice", "bad-seed", "empty-fraction", "bad-mode"])
+        ("split_mode=subject,seed=5,split_fraction=5", r"split_fraction must lie in \(0, 1\)"),
+        ("split_mode=subject,seed=5,split_fraction=nan", r"split_fraction must lie in \(0, 1\)"),
+    ], ids=["unknown-key", "missing-key", "key-twice", "bad-seed", "empty-fraction", "bad-mode",
+            "fraction-out-of-range", "fraction-nan"])
     def test_malformed_split_line_refused(self, record, reason):
         with pytest.raises(ManifestError, match=f"'# split: .*': {reason}"):
             load_manifest(f"# classes: AN\n# split: {record}\npath,label,subject\na.pgm,AN,S1\n")

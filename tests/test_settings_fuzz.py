@@ -2,8 +2,9 @@
 go through `cli.main` for `synth`, `preprocess` and `train`.
 
 Every call must return an exit code (0, 1 or 2) and raise nothing, and a
-refusal (exit 1) must leave no new path.  Exit 2 may keep output: `train`
-saves the rolled-back model after a non-finite loss.
+refusal (exit 1) must leave no new path; the refusal of a `--config` case
+names the config file.  Exit 2 may keep output: `train` saves the
+rolled-back model after a non-finite loss.
 """
 
 import shutil
@@ -98,7 +99,8 @@ def test_mutated_settings_exit_cleanly(corpus, tmp_path, capsys):
         command = str(rng.choice(sorted(base)))
         out = runs / f"case{case}"
         argv = [*base[command], "--out", str(out)]
-        if rng.random() < 0.5:
+        flag_case = rng.random() < 0.5
+        if flag_case:
             key = str(rng.choice(FLAG_KEYS[command] if rng.random() < 0.8 else KEYS))
             argv += [f"--{key.replace('_', '-')}", mutated_value(rng, key)]
         else:
@@ -110,7 +112,7 @@ def test_mutated_settings_exit_cleanly(corpus, tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc in (0, 1, 2), argv
         if rc == EXIT_VALIDATION:
-            assert err.startswith("error: "), argv
+            assert err.startswith("error: " if flag_case else f"error: {cfg}: "), (argv, err)
             assert list(runs.iterdir()) == [], argv
         shutil.rmtree(out, ignore_errors=True)
         codes.append(rc)
