@@ -58,6 +58,7 @@ from .preprocess import (
     hist_equalize,
     homomorphic_filter,
     normalize_per_image,
+    prepare,
 )
 from .training import (
     TrainConfig,

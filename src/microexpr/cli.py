@@ -195,15 +195,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _preprocess_one(img: GrayImage, params: preprocess.HomomorphicParams) -> GrayImage:
-    filtered = preprocess.homomorphic_filter(img, params)
-    equalized = preprocess.hist_equalize(filtered)
-    size = preprocess.PREPARED_SIZE
-    resized = preprocess.bilinear_resize(equalized.pixels, size, size)
-    # Quantize now so stats are fitted on exactly what later stages reload.
-    return GrayImage(dataset.to_8bit(resized) / 255.0)
-
-
 def cmd_preprocess(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = _read_manifest_file(manifest_path)
@@ -221,7 +212,7 @@ def cmd_preprocess(args) -> int:
     def process(entry):
         try:
             return _read_entry(manifest_path, entry[0],
-                               then=lambda img: _preprocess_one(img, args.homomorphic)), None
+                               then=lambda img: preprocess.prepare(img, args.homomorphic)), None
         except (OSError, ConfigError) as err:
             return None, err
 

@@ -243,8 +243,9 @@ def load_manifest(text: str) -> Manifest:
 
 def listable_class_name(name: str) -> bool:
     """Whether name reads back from a one-line, comma-separated classes list,
-    as a manifest's `# classes:` line and a checkpoint's classes line are."""
-    return "," not in name and not LINE_BREAK.search(name)
+    as a manifest's `# classes:` line and a checkpoint's classes line are:
+    non-empty, unchanged by the reader's str.strip, no comma or line break."""
+    return bool(name) and name == name.strip() and "," not in name and not LINE_BREAK.search(name)
 
 
 def require_writable_class_names(class_names) -> None:
@@ -252,8 +253,8 @@ def require_writable_class_names(class_names) -> None:
     `# classes:` line cannot hold."""
     for name in class_names:
         if not listable_class_name(name):
-            raise ManifestError(f"class name {name!r} cannot be written to a manifest's "
-                                "classes line: use names without commas or line breaks")
+            raise ManifestError(f"class name {name!r} cannot be written to a manifest's classes "
+                                "line: use trimmed, non-empty names without commas or line breaks")
 
 
 def write_manifest(path, entries, class_names: tuple[str, ...], split: dict | None) -> None:

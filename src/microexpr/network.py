@@ -624,7 +624,7 @@ def require_storable_class_names(class_names) -> None:
     unstorable = [n for n in class_names if not (n.isascii() and listable_class_name(n))]
     if unstorable or len(set(class_names)) != len(class_names):
         raise ValueError(f"class names {unstorable or list(class_names)} cannot be stored in a "
-                         "checkpoint: use distinct ASCII names without commas or line breaks")
+                         "checkpoint: use distinct, trimmed ASCII names without commas or line breaks")
 
 
 def save_checkpoint(path, model: ModelState) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import GrayImage
+from .dataset import GrayImage, to_8bit
 
 # Side of every prepared image: preprocess writes, training augments and
 # inference crops PREPARED_SIZE x PREPARED_SIZE images.
@@ -149,6 +149,15 @@ def hist_equalize(img: GrayImage) -> GrayImage:
     if cdf_min >= 1.0:
         return img
     return GrayImage((cdf[bins] - cdf_min) / (1.0 - cdf_min))
+
+
+def prepare(img: GrayImage, params: HomomorphicParams) -> GrayImage:
+    """The preparation chain `microexpr preprocess` applies: homomorphic
+    filter, equalization, resize to PREPARED_SIZE, then 8-bit quantization,
+    so that stats are fitted on exactly what later stages reload."""
+    equalized = hist_equalize(homomorphic_filter(img, params))
+    resized = bilinear_resize(equalized.pixels, PREPARED_SIZE, PREPARED_SIZE)
+    return GrayImage(to_8bit(resized) / 255.0)
 
 
 def normalize_per_image(img: GrayImage) -> GrayImage:

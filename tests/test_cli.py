@@ -22,10 +22,9 @@ from microexpr.cli import (
     resolve_settings,
     save_pixel_stats,
 )
-from microexpr.cli import _preprocess_one
 from microexpr.dataset import GrayImage, decode_pgm, encode_pgm, load_manifest, write_manifest
 from microexpr.network import FusionArch, init_model, load_checkpoint, save_checkpoint
-from microexpr.preprocess import HomomorphicParams, PixelStats
+from microexpr.preprocess import HomomorphicParams, PixelStats, prepare
 
 
 def untrained_model(root):
@@ -223,7 +222,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("resized", ["pipeline", "edge values"])
     def test_prepared_image_is_what_its_pgm_reloads(self, monkeypatch, resized):
-        """preprocess fits the pixel statistics on _preprocess_one's output,
+        """preprocess fits the pixel statistics on prepare's output,
         and training reads its PGM: the two must be the same bits.  "edge
         values" hands the quantization values outside [0, 1] and exact
         half-steps of the 8-bit grid in place of the resized image."""
@@ -236,7 +235,7 @@ class TestPipeline:
             values = values.reshape(48, 48)
             monkeypatch.setattr(microexpr.preprocess, "bilinear_resize", lambda px, h, w: values)
             assert len(half) > 100 and values.min() < 0.0 and values.max() > 1.0
-        prepared = _preprocess_one(GrayImage(rng.random((64, 64))), HomomorphicParams())
+        prepared = prepare(GrayImage(rng.random((64, 64))), HomomorphicParams())
         reloaded = decode_pgm(encode_pgm(prepared))
         assert prepared.pixels.tobytes() == reloaded.pixels.tobytes()
 

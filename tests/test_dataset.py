@@ -144,8 +144,11 @@ class TestLoadManifest:
         write_manifest(path, entries, classes, None)
         assert load_manifest(path.read_text()) == Manifest(entries, classes, None)
 
-    @pytest.mark.parametrize("name", ["C1,x", "C1\nx", "C1\rx", "C1\n"],
-                             ids=["comma", "newline", "return", "trailing-newline"])
+    @pytest.mark.parametrize("name", ["C1,x", "C1\nx", "C1\rx", "C1\n", "C1 ", " C1", "C1\x85",
+                                      "C1\u2028", "C1\x0b", ""],
+                             ids=["comma", "newline", "return", "trailing-newline", "trailing-space",
+                                  "leading-space", "trailing-nel", "trailing-u2028",
+                                  "trailing-vtab", "empty"])
     def test_unwritable_class_name_refused_before_the_file_opens(self, tmp_path, name):
         path = tmp_path / "manifest.csv"
         with pytest.raises(ManifestError, match="cannot be written") as err:

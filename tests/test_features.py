@@ -23,9 +23,9 @@ from microexpr.features import (
 )
 from microexpr.preprocess import (
     HomomorphicParams,
-    bilinear_resize,
     hist_equalize,
     homomorphic_filter,
+    prepare,
 )
 
 
@@ -452,11 +452,10 @@ class TestHistogramParity:
 
     def test_image_descriptor_preprocessed_256x256(self):
         # JAFFE-sized synthetic faces after the homomorphic filter and
-        # equalization, as they are before and after the final 48x48 resize.
+        # equalization, and prepared as preprocess writes them.
         for sample in generate_synthetic(classes=2, per_class=2, size=256, seed=35)[::2]:
             equalized = hist_equalize(homomorphic_filter(sample.image, HomomorphicParams()))
-            resized = bilinear_resize(equalized.pixels, 48, 48)
-            prepared = np.rint(np.clip(resized, 0.0, 1.0) * 255.0) / 255.0
+            prepared = prepare(sample.image, HomomorphicParams()).pixels
             for px in (equalized.pixels, prepared):
                 assert np.array_equal(image_descriptor(GrayImage(px)),
                                       reference_image_descriptor(px))

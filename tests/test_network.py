@@ -1045,8 +1045,10 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a\nb", "c", "d"), ("a\rb", "c", "d"),
-                                       ("ä", "c", "d"), ("c", "c", "d")],
-                             ids=["comma", "newline", "return", "non-ascii", "duplicate"])
+                                       ("ä", "c", "d"), ("c", "c", "d"), ("a ", "c", "d"),
+                                       (" a", "c", "d"), ("a\x0b", "c", "d"), ("", "c", "d")],
+                             ids=["comma", "newline", "return", "non-ascii", "duplicate",
+                                  "trailing-space", "leading-space", "trailing-vtab", "empty"])
     def test_unstorable_class_names_refused_before_the_file_opens(self, tmp_path, names):
         model = init_model(FusionArch(**TINY), names, seed=21)
         with pytest.raises(ValueError, match="cannot be stored in a checkpoint"):
